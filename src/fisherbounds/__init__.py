@@ -1,9 +1,10 @@
 """Exact one-sided dependency p-values for 2x2 contingency tables,
 with constant-time upper bounds and checkable error guarantees.
 
-The exact tail probability of a positive dependency costs O(J) where J
-can reach n/4.  The bound family here costs O(1) after a shared
-log-factorial table is built, encloses the exact value from above, and
+The exact tail probability of a positive dependency is a sum of J + 1
+terms where J can reach n/4; the certified sum stops as soon as the
+remaining terms provably cannot change the double result.  The bound
+family here costs O(1), encloses the exact value from above, and
 carries guarantees that make the approximation error checkable from
 the table's counts alone.
 """
@@ -61,10 +62,10 @@ from .exact import (
     PValue,
     TermEngine,
     exact_fisher,
+    exact_fisher_certified,
     exact_fisher_oracle,
     make_term_engine,
 )
-from .logfact import LogFactorialTable, build_log_factorials, shared_table
 from .ranking import (
     MEASURES,
     AgreementReport,
@@ -97,13 +98,11 @@ __all__ = [
     "build_table",
     "derive_stats",
     "negate_consequent",
-    "LogFactorialTable",
-    "build_log_factorials",
-    "shared_table",
     "PValue",
     "TermEngine",
     "make_term_engine",
     "exact_fisher",
+    "exact_fisher_certified",
     "exact_fisher_oracle",
     "ub1",
     "ub2",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -150,6 +149,11 @@ def run_batch(
     work = list(rows)
     if jobs <= 1 or len(work) < 2:
         return [_evaluate(rid, f, k, negate, include_exact) for rid, f in work]
+    # imported here so that importing the package does not load the
+    # executor machinery (about 0.75 MB and its import time) for a path
+    # that only jobs > 1 takes
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(
             pool.map(lambda w: _evaluate(w[0], w[1], k, negate, include_exact), work)

@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
         "--negate", action="store_true", help="evaluate the negated consequent"
     )
     p_eval.add_argument(
-        "--no-exact", action="store_true", help="skip the O(J) exact evaluation"
+        "--no-exact", action="store_true", help="skip the exact evaluation"
     )
     p_eval.set_defaults(handler=_cmd_eval)
 

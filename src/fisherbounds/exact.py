@@ -14,6 +14,11 @@ all its terms lie in (0, 1], so scaling by p_0 only at the very end
 keeps the accumulation well conditioned and immune to p_0 underflow.
 Each q_i is one float division of two exact integer products, matching
 the cancellation that derives the ratio in the first place.
+
+exact_fisher sums all J + 1 terms and is the reference.
+exact_fisher_certified sums the same terms in the same order but stops
+as soon as the rest provably cannot change the double total, so both
+return the same bits.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ from fractions import Fraction
 
 from .contingency import ContingencyTable
 from .errors import CapacityExceeded, NegativeDependency, OutOfRange
-from .logfact import LogFactorialTable, shared_table
 
 __all__ = [
     "PValue",
     "TermEngine",
     "make_term_engine",
     "exact_fisher",
+    "exact_fisher_certified",
     "exact_fisher_oracle",
     "ORACLE_CAP",
 ]
@@ -94,18 +99,24 @@ class TermEngine:
             yield ((mxna - i + 1) * (mnxa - i + 1)) / ((mxa + i) * (mnxna + i))
 
 
-def make_term_engine(
-    t: ContingencyTable, tbl: LogFactorialTable | None = None
-) -> TermEngine:
-    """Build the engine for a table; tbl defaults to the shared table grown to n."""
-    if tbl is None:
-        tbl = shared_table(t.n)
+def make_term_engine(t: ContingencyTable) -> TermEngine:
+    """Build the engine for a table from math.lgamma log-factorials.
+
+    Each log binomial is ln n! - (ln k! + ln (n - k)!), the subtrahends
+    added first so the result is exactly symmetric in k and n - k.
+    """
+    lg = math.lgamma
+    n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa
+    mxna = mx - mxa
+    mnxa = ma - mxa
+    mnxna = n - mx - ma + mxa
+    log_pabs = -(lg(n + 1) - (lg(ma + 1) + lg(n - ma + 1)))
     log_p0 = (
-        tbl.log_binomial(t.mx, t.mxa)
-        + tbl.log_binomial(t.n - t.mx, t.mnxna)
-        - tbl.log_binomial(t.n, t.ma)
+        (lg(mx + 1) - (lg(mxa + 1) + lg(mxna + 1)))
+        + (lg(n - mx + 1) - (lg(mnxna + 1) + lg(mnxa + 1)))
+        + log_pabs
     )
-    return TermEngine(t, log_p0, -tbl.log_binomial(t.n, t.ma), t.j)
+    return TermEngine(t, log_p0, log_pabs, mxna if mxna < mnxa else mnxa)
 
 
 def _kahan_partial(engine: TermEngine, count: int) -> tuple[float, float, float]:
@@ -141,6 +152,88 @@ def exact_fisher(engine: TermEngine) -> PValue:
         )
     total, _, _ = _kahan_partial(engine, engine.j + 1)
     return PValue.from_log(engine.log_p0 + math.log(total), engine.j + 1)
+
+
+# The geometric tail bound is used only while 1 - q >= 8 u (u = 2^-53).
+_GEOMETRIC_Q_MAX = 1.0 - 2.0**-50
+# Rounding below the normal range adds at most 2^-1075 per product;
+# J 2^-1021 covers all of it in the stop test.
+_SUBNORMAL_SLACK = 2.0**-1021
+
+
+def exact_fisher_certified(engine: TermEngine) -> PValue:
+    """Exact p_F, stopping once the unsummed terms cannot change it.
+
+    Walks the terms of exact_fisher in the same compensated order and
+    stops before the next term when the running product prod has
+    underflowed to 0.0, or when the float test
+
+        2.5 prod min(q / (1 - q), L) + J 2^-1021 - comp < ulp(total) / 2
+
+    holds, with q the next ratio, L the number of unsummed terms, and
+    q / (1 - q) taken only while q <= 1 - 2^-50.  raw_log therefore
+    equals exact_fisher's bit for bit, and terms_evaluated counts the
+    terms actually summed: a few dozen on strong tables, O(sqrt n) near
+    independence, never more than J + 1.
+
+    Why the unsummed terms cannot change total (u = 2^-53, rounding to
+    nearest):
+
+    1. total >= 1 dominates every added y, so each Kahan step is an
+       error-free transformation: -comp is exactly the true running sum
+       minus total, so total - comp rounds to total.
+    2. Let c_1 .. c_L be the products the full sum would still add and S
+       their sum.  A step that leaves total fixed sets comp to -y, so the
+       low part r = -comp evolves as r <- fl(r + c).  For a float r and
+       c >= 0, r <= fl(r + c) <= r + 2c: either c is below half the gap
+       above r and the sum rounds back to r, or the rounding error is at
+       most half a gap no wider than 2c.  So every r stays within
+       [-comp, -comp + 2S].
+    3. Rounding is monotone and the gap above total is ulp(total), so by
+       1 every r in [-comp, ulp(total) / 2) leaves total fixed.  Total
+       therefore never moves if 2S - comp < ulp(total) / 2.
+    4. The exact ratios fall strictly and stay below 1, and rounding is
+       monotone, so the computed ratios lie in (0, 1] and do not grow,
+       and neither do the computed products.  Hence S <= L prod with no
+       rounding slack, and once prod == 0.0 every c is 0.0 and r never
+       leaves -comp.
+    5. While q <= 1 - 8u, each product is at most q (1 + u) times the one
+       before, plus 2^-1075 below the normal range, and 1 - q (1 + u) >=
+       (7/8)(1 - q).  Summing the geometric series gives S <= (8/7)(1 + u)
+       prod q / (1 - q) + L 2^-1022 / 7.
+    6. By 4 and 5, 2S is below the first two terms of the test.  Their
+       float value still is: each of its few roundings loses at most a
+       factor 1 - u, or 2^-1075 below the normal range, which the step
+       from 16/7 to 2.5 and the slack J 2^-1021 absorb.  Subtracting comp
+       and comparing with the float ulp(total) / 2 are monotone, so the
+       test passing implies 2S - comp < ulp(total) / 2, and 3 applies.
+    """
+    if not engine.positive_dependency:
+        raise NegativeDependency(
+            "exact_fisher_certified needs a positive dependency;"
+            " negate the consequent first"
+        )
+    ulp = math.ulp
+    slack = engine.j * _SUBNORMAL_SLACK
+    total = 1.0
+    comp = 0.0
+    prod = 1.0
+    remaining = engine.j
+    for q in engine.ratios():
+        if prod == 0.0:
+            break
+        g = q / (1.0 - q) if q <= _GEOMETRIC_Q_MAX else remaining
+        if g > remaining:
+            g = remaining
+        if 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
+            break
+        prod *= q
+        y = prod - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        remaining -= 1
+    return PValue.from_log(engine.log_p0 + math.log(total), engine.j + 1 - remaining)
 
 
 ORACLE_CAP = 20_000

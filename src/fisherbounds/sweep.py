@@ -15,7 +15,7 @@ from typing import IO, Iterator
 from .bounds import ub1, ub2, ub_k
 from .contingency import ContingencyTable, build_table, derive_stats
 from .errors import InvalidK, NegativeDependency
-from .exact import exact_fisher, make_term_engine
+from .exact import exact_fisher_certified, make_term_engine
 
 __all__ = ["SweepSpec", "SweepPoint", "run_sweep", "sweep_header", "write_sweep_csv"]
 
@@ -89,7 +89,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
                 leverage=s.leverage,
                 odds_ratio=s.odds_ratio,
                 terms=s.j + 1,
-                p_fisher=exact_fisher(engine).linear_value
+                p_fisher=exact_fisher_certified(engine).linear_value
                 if spec.include_exact
                 else None,
                 ub1=ub1(engine).linear_value,

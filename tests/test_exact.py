@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,13 @@ from fisherbounds import (
     PValue,
     build_table,
     exact_fisher,
+    exact_fisher_certified,
     exact_fisher_oracle,
     make_term_engine,
 )
+from fisherbounds.bench import benchmark_shape
 
-from conftest import iter_exhaustive, random_positive_tables
+from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
 
 
 def _oracle_from_scratch(t) -> Fraction:
@@ -134,6 +137,87 @@ class TestExactFisher:
         for t in random_positive_tables(200, 2000, seed=52):
             pv = exact_fisher(make_term_engine(t))
             assert _rel_error(pv, exact_fisher_oracle(t)) <= 1e-11
+
+
+def _near_independent_tables(count: int, seed: int) -> list:
+    """Lift 1 to 1.2, n log-uniform up to 2e6: the longest certified sums."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        n = round(10.0 ** rng.uniform(3.0, math.log10(2e6)))
+        mx = rng.randint(n // 20, n // 2)
+        ma = rng.randint(n // 20, n // 2)
+        mxa = min(mx, ma, math.ceil(mx * ma / n * rng.uniform(1.0, 1.2)))
+        if n * mxa - mx * ma > 0:
+            tables.append(build_table(n, mx, ma, mxa))
+    return tables
+
+
+class TestExactFisherCertified:
+    @staticmethod
+    def _terms_against_the_full_sum(tables) -> tuple[int, int]:
+        certified_terms = full_terms = 0
+        for t in tables:
+            engine = make_term_engine(t)
+            full = exact_fisher(engine)
+            certified = exact_fisher_certified(engine)
+            assert certified.raw_log == full.raw_log, t
+            assert 1 <= certified.terms_evaluated <= t.j + 1, t
+            certified_terms += certified.terms_evaluated
+            full_terms += full.terms_evaluated
+        return certified_terms, full_terms
+
+    def test_equals_the_full_sum_on_the_exhaustive_corpus(self):
+        self._terms_against_the_full_sum(iter_exhaustive(positive_only=True))
+
+    def test_equals_the_full_sum_on_the_random_corpus(self):
+        certified, full = self._terms_against_the_full_sum(
+            random_positive_tables(2000, 20000, seed=CORPUS_SEED)
+        )
+        assert certified < full / 4
+
+    def test_equals_the_full_sum_near_independence(self):
+        certified, full = self._terms_against_the_full_sum(
+            _near_independent_tables(40, seed=CORPUS_SEED)
+        )
+        assert certified < full / 10
+
+    def test_strong_tables_stop_after_a_few_dozen_terms(self):
+        engine = make_term_engine(benchmark_shape(200_000))
+        assert engine.j + 1 == 40001
+        pv = exact_fisher_certified(engine)
+        assert pv.raw_log == exact_fisher(engine).raw_log
+        assert pv.terms_evaluated <= 100
+
+    def test_underflowed_product_ends_the_sum(self):
+        # q_1 = 2^-53 exactly, so 1 + q_1 is a tie that rounds back to 1 and
+        # leaves -comp at exactly half an ulp: no tail bound can pass the
+        # stop test, and the walk ends only when the product reaches 0.0
+        mxa, mnxna, m = 2**31 - 1, 2**32 - 1, 32
+        t = build_table(mxa + mnxna + 2 * m, mxa + m, mxa + m, mxa)
+        engine = make_term_engine(t)
+        assert engine.ratio(1) == 2.0**-53
+        pv = exact_fisher_certified(engine)
+        assert pv.raw_log == exact_fisher(engine).raw_log
+        assert pv.terms_evaluated == 21
+        assert engine.j + 1 == 33
+
+    @pytest.mark.parametrize("m", [2**53, 2**56])
+    def test_ratio_rounding_to_within_ulps_of_one(self, m):
+        # 1 - q_1 > 1/n under positive dependency, so q_1 comes within a
+        # few ulps of 1 only for n beyond 2^50; these J = 2 tables have
+        # n near 4e31 and 3e33, where q_1 is 2 ulps below 1 and exactly 1.0
+        mxna = m * m // 2 - 4
+        t = build_table(2 * m + mxna + 2, m + mxna, m + 2, m)
+        engine = make_term_engine(t)
+        assert 0.0 <= 1.0 - engine.ratio(1) <= 2.0**-52
+        pv = exact_fisher_certified(engine)
+        assert pv.raw_log == exact_fisher(engine).raw_log
+        assert pv.terms_evaluated == engine.j + 1 == 3
+
+    def test_refuses_nonpositive_dependency(self):
+        with pytest.raises(NegativeDependency):
+            exact_fisher_certified(make_term_engine(build_table(100, 50, 50, 25)))
 
 
 class TestOracle:
