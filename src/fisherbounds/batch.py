@@ -150,8 +150,7 @@ def run_batch(
     if jobs <= 1 or len(work) < 2:
         return [_evaluate(rid, f, k, negate, include_exact) for rid, f in work]
     # imported here so that importing the package does not load the
-    # executor machinery (about 0.75 MB and its import time) for a path
-    # that only jobs > 1 takes
+    # executor machinery for a path that only jobs > 1 takes
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
