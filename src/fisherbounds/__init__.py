@@ -64,6 +64,8 @@ from .exact import (
     exact_fisher,
     exact_fisher_certified,
     exact_fisher_oracle,
+    log_binomial,
+    log_factorial,
     make_term_engine,
 )
 from .ranking import (
@@ -100,6 +102,8 @@ __all__ = [
     "negate_consequent",
     "PValue",
     "TermEngine",
+    "log_factorial",
+    "log_binomial",
     "make_term_engine",
     "exact_fisher",
     "exact_fisher_certified",

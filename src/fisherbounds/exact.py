@@ -33,6 +33,8 @@ from .errors import CapacityExceeded, NegativeDependency, OutOfRange
 __all__ = [
     "PValue",
     "TermEngine",
+    "log_factorial",
+    "log_binomial",
     "make_term_engine",
     "exact_fisher",
     "exact_fisher_certified",
@@ -99,11 +101,34 @@ class TermEngine:
             yield ((mxna - i + 1) * (mnxa - i + 1)) / ((mxa + i) * (mnxna + i))
 
 
+def log_factorial(i: int) -> float:
+    """ln i! as math.lgamma(i + 1)."""
+    if i < 0:
+        raise OutOfRange(f"i={i} is negative")
+    try:
+        return math.lgamma(i + 1)
+    except OverflowError:
+        raise OutOfRange(f"ln {i}! overflows a double") from None
+
+
+def log_binomial(n: int, k: int) -> float:
+    """ln C(n, k) as ln n! - (ln k! + ln (n - k)!).
+
+    The subtrahends are added before subtracting, which makes the
+    result exactly symmetric in k and n - k and exactly 0.0 at the edges.
+    """
+    if not 0 <= k <= n:
+        raise OutOfRange(f"need 0 <= k <= n, got n={n}, k={k}")
+    return log_factorial(n) - (log_factorial(k) + log_factorial(n - k))
+
+
 def make_term_engine(t: ContingencyTable) -> TermEngine:
     """Build the engine for a table from math.lgamma log-factorials.
 
-    Each log binomial is ln n! - (ln k! + ln (n - k)!), the subtrahends
-    added first so the result is exactly symmetric in k and n - k.
+    The arithmetic is log_binomial's, written out straight-line because
+    engine builds dominate a screen of many small tables: log_pabs is
+    -log_binomial(n, ma) and log_p0 adds log_binomial(mx, mxa) and
+    log_binomial(n - mx, mnxna) to it, bit for bit.
     """
     lg = math.lgamma
     n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa

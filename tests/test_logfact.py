@@ -1,144 +1,88 @@
-"""Log-factorial tables: accuracy, symmetry, extension, sharing."""
+"""Log-factorials and log binomials on math.lgamma: accuracy, symmetry, range."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import random
 
 import pytest
 
 from fisherbounds import (
-    CapacityExceeded,
-    LogFactorialTable,
     OutOfRange,
-    build_log_factorials,
-    shared_table,
+    build_table,
+    log_binomial,
+    log_factorial,
+    make_term_engine,
 )
 
 
 class TestValues:
     def test_base_cases(self):
-        tbl = build_log_factorials(10)
-        assert tbl.log_factorial(0) == 0.0
-        assert tbl.log_factorial(1) == 0.0
-        assert tbl.max_n == 10
+        assert log_factorial(0) == 0.0
+        assert log_factorial(1) == 0.0
+        assert log_factorial(2) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_matches_exact_integer_factorials(self):
-        tbl = build_log_factorials(300)
         for i in (2, 5, 20, 50, 100, 170, 171, 250, 300):
             exact = math.log(math.factorial(i))
-            assert tbl.log_factorial(i) == pytest.approx(exact, rel=1e-14)
+            assert log_factorial(i) == pytest.approx(exact, rel=1e-14)
 
     def test_monotone_nondecreasing(self):
-        tbl = build_log_factorials(500)
-        values = [tbl.log_factorial(i) for i in range(501)]
+        values = [log_factorial(i) for i in range(501)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_consecutive_differences_small_range(self):
-        # the running sum reproduces each ln(i) to 1e-14 relative while
-        # the accumulated total is still small
-        tbl = build_log_factorials(60)
-        for i in range(2, 61):
-            diff = tbl.log_factorial(i) - tbl.log_factorial(i - 1)
-            assert diff == pytest.approx(math.log(i), rel=1e-14)
-
-    def test_consecutive_differences_ulp_scale(self):
-        # at large i the total's own quantization caps the achievable
-        # accuracy; compensation keeps the error within 2 ulp of the total
-        # (measured maximum over 200000 entries: 1.0 ulp)
-        tbl = build_log_factorials(20000)
-        for i in range(2, 20001):
-            diff = tbl.log_factorial(i) - tbl.log_factorial(i - 1)
-            err = abs(diff - math.log(i))
-            assert err <= 2.0 * math.ulp(tbl.log_factorial(i))
-
     def test_index_out_of_range(self):
-        tbl = build_log_factorials(10)
         with pytest.raises(OutOfRange):
-            tbl.log_factorial(-1)
+            log_factorial(-1)
+        # ln i! passes the largest double near i = 2.6e305
         with pytest.raises(OutOfRange):
-            tbl.log_factorial(11)
+            log_factorial(10**306)
 
     def test_negative_size_rejected(self):
-        with pytest.raises(OutOfRange):
-            build_log_factorials(-1)
+        # math.lgamma(0) would raise its own pole error for i = -1; the
+        # range check must come first, for every negative i
+        for i in (-1, -2, -(10**400)):
+            with pytest.raises(OutOfRange):
+                log_factorial(i)
 
 
 class TestLogBinomial:
     def test_matches_exact_integer_binomials(self):
-        tbl = build_log_factorials(500)
         for n in (1, 2, 17, 100, 333, 500):
             for k in range(0, n + 1, max(1, n // 7)):
                 exact = math.log(math.comb(n, k))
-                assert tbl.log_binomial(n, k) == pytest.approx(
-                    exact, rel=1e-12, abs=1e-12
-                )
+                assert log_binomial(n, k) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_symmetry_is_exact(self):
-        tbl = build_log_factorials(400)
         for n in (7, 50, 333, 400):
             for k in range(n + 1):
-                assert tbl.log_binomial(n, k) == tbl.log_binomial(n, n - k)
+                assert log_binomial(n, k) == log_binomial(n, n - k)
 
     def test_edges_are_exactly_zero(self):
-        tbl = build_log_factorials(50)
         for n in range(51):
-            assert tbl.log_binomial(n, 0) == 0.0
-            assert tbl.log_binomial(n, n) == 0.0
+            assert log_binomial(n, 0) == 0.0
+            assert log_binomial(n, n) == 0.0
 
     def test_rejects_bad_arguments(self):
-        tbl = build_log_factorials(10)
         with pytest.raises(OutOfRange):
-            tbl.log_binomial(5, 6)
+            log_binomial(5, 6)
         with pytest.raises(OutOfRange):
-            tbl.log_binomial(5, -1)
+            log_binomial(5, -1)
         with pytest.raises(OutOfRange):
-            tbl.log_binomial(11, 3)
+            log_binomial(10**306, 3)
 
-
-class TestExtension:
-    def test_extension_preserves_prefix_bitwise(self):
-        small = build_log_factorials(100)
-        big = small.extended(1000)
-        for i in range(101):
-            assert big.log_factorial(i) == small.log_factorial(i)
-
-    def test_growth_history_is_irrelevant(self):
-        # carrying the compensation term means a table grown in stages
-        # equals a single-pass build bit for bit
-        direct = build_log_factorials(3000)
-        staged = build_log_factorials(10).extended(100).extended(999).extended(3000)
-        assert staged._values == direct._values
-
-    def test_extension_to_smaller_size_returns_self(self):
-        tbl = build_log_factorials(100)
-        assert tbl.extended(50) is tbl
-
-    def test_capacity_budget(self):
-        with pytest.raises(CapacityExceeded):
-            build_log_factorials(100, cap=50)
-        tbl = build_log_factorials(10)
-        with pytest.raises(CapacityExceeded):
-            tbl.extended(100, cap=50)
-
-
-class TestSharedTable:
-    def test_covers_requested_range(self):
-        tbl = shared_table(2000)
-        assert tbl.max_n >= 2000
-        assert isinstance(tbl, LogFactorialTable)
-
-    def test_repeat_requests_reuse_snapshot(self):
-        a = shared_table(500)
-        b = shared_table(400)
-        assert b is a or b.max_n >= a.max_n
-
-    def test_concurrent_growth_agrees_with_direct_build(self):
-        sizes = [300, 1200, 800, 2500, 1700, 3100, 600, 2900]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = list(pool.map(shared_table, sizes))
-        reference = build_log_factorials(max(t.max_n for t in tables))
-        for tbl, requested in zip(tables, sizes):
-            assert tbl.max_n >= requested
-            for i in range(0, tbl.max_n + 1, 97):
-                assert tbl.log_factorial(i) == reference.log_factorial(i)
+    def test_term_engine_inlines_the_same_arithmetic(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(4, 10**7)
+            mx = rng.randint(1, n - 1)
+            ma = rng.randint(1, n - 1)
+            mxa = rng.randint(max(0, mx + ma - n), min(mx, ma))
+            t = build_table(n, mx, ma, mxa)
+            engine = make_term_engine(t)
+            log_pabs = -log_binomial(n, ma)
+            log_p0 = (
+                log_binomial(mx, mxa) + log_binomial(n - mx, n - mx - ma + mxa)
+            ) + log_pabs
+            assert engine.log_pabs == log_pabs
+            assert engine.log_p0 == log_p0
