@@ -3,9 +3,8 @@
 Input rows carry the header id,n,mx,ma,mxa.  Each valid row becomes one
 output row; invalid rows go to a rejects stream with a reason code, and
 every input row lands in exactly one of the two.  Output row order
-always matches input order, also under parallel evaluation, and floats
-are printed with six significant digits, so batch output is a pure
-function of batch input.
+always matches input order, and floats are printed with six significant
+digits, so batch output is a pure function of batch input.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import IO, Iterable, Sequence
 
 from .bounds import ApproxReport, report
 from .contingency import build_table, negate_consequent
-from .errors import DegenerateMargin, MarginViolation
+from .errors import DegenerateMargin, MarginViolation, OutOfRange
 
 __all__ = [
     "BatchRecord",
@@ -45,8 +44,10 @@ REASON_BAD_ROW = "BAD_ROW"
 REASON_MARGIN = "MARGIN_VIOLATION"
 REASON_DEGENERATE = "DEGENERATE_MARGIN"
 REASON_NONPOSITIVE = "NONPOSITIVE_DEPENDENCY"
+REASON_OUT_OF_RANGE = "OUT_OF_RANGE"
 
 _LN10 = math.log(10.0)
+_LOG_DOUBLE_MAX = 709.782712893384  # ln of the largest double
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +129,10 @@ def _evaluate(
             REASON_NONPOSITIVE,
             f"leverage numerator {t.delta_counts} is not positive",
         )
-    return BatchRecord(row_id, report(t, k=k, include_exact=include_exact))
+    try:
+        return BatchRecord(row_id, report(t, k=k, include_exact=include_exact))
+    except OutOfRange as exc:
+        return Reject(row_id, REASON_OUT_OF_RANGE, str(exc))
 
 
 def run_batch(
@@ -136,27 +140,15 @@ def run_batch(
     k: int = 3,
     negate: bool = False,
     include_exact: bool = True,
-    jobs: int = 1,
 ) -> list[BatchRecord | Reject]:
     """Evaluate rows, preserving input order exactly.
 
     With negate, every table is replaced by its consequent negation
     before evaluation.  Rows whose (possibly negated) table shows no
-    positive dependency are rejected.  jobs > 1 evaluates rows in a
-    thread pool; results are reassembled in input order, so output is
-    byte-identical to a sequential run.
+    positive dependency are rejected, and so are rows whose counts are
+    too large for double-precision arithmetic.
     """
-    work = list(rows)
-    if jobs <= 1 or len(work) < 2:
-        return [_evaluate(rid, f, k, negate, include_exact) for rid, f in work]
-    # imported here so that importing the package does not load the
-    # executor machinery for a path that only jobs > 1 takes
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(lambda w: _evaluate(w[0], w[1], k, negate, include_exact), work)
-        )
+    return [_evaluate(rid, f, k, negate, include_exact) for rid, f in rows]
 
 
 def format_float(value: float) -> str:
@@ -168,7 +160,15 @@ def format_pvalue(pv) -> str:
     probability underflows doubles so deep tails stay distinguishable."""
     if pv.linear_value > 0.0 or pv.raw_log == -math.inf:
         return f"{pv.linear_value:.6g}"
-    exponent10 = pv.raw_log / _LN10
+    return _format_log(pv.raw_log)
+
+
+def _format_log(log_value: float) -> str:
+    """format_pvalue for an unclamped log value such as an error ceiling."""
+    linear = math.exp(log_value) if log_value <= _LOG_DOUBLE_MAX else 0.0
+    if linear > 0.0 or log_value == -math.inf:
+        return f"{linear:.6g}"
+    exponent10 = log_value / _LN10
     exponent = math.floor(exponent10)
     mantissa = 10.0 ** (exponent10 - exponent)
     if round(mantissa, 5) >= 10.0:
@@ -197,7 +197,7 @@ def _output_row(rec: BatchRecord) -> list[str]:
         format_pvalue(r.ub2),
         format_pvalue(r.ub_k),
         str(r.k_used),
-        format_float(r.error_bound),
+        _format_log(r.log_error_bound),
         format_float(r.chi2.p_one_sided),
         format_float(r.chi2.min_expected),
         str(int(r.guarantee_ub1)),

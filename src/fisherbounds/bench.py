@@ -4,14 +4,13 @@ The configurations share one shape: balanced margins at half the data
 size and an overlap of 0.6 times the margin, which drives J to n/5.
 Timing uses a monotonic clock through timeit (garbage collection off),
 calibrates an inner loop so each sample spans at least half a
-millisecond, and reports the median of several samples per call.
+millisecond, and reports the fastest, least disturbed of several samples.
 """
 
 from __future__ import annotations
 
 import timeit
 from dataclasses import dataclass
-from statistics import median
 from typing import Callable, Sequence
 
 from .bounds import ub1, ub2, ub_k
@@ -68,7 +67,7 @@ def _measure(fn: Callable[[], object], repetitions: int) -> float:
         number *= 4
         elapsed = timer.timeit(number)
     samples = [timer.timeit(number) / number for _ in range(repetitions)]
-    return median(samples)
+    return min(samples)
 
 
 def run_bench(

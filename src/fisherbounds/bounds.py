@@ -9,9 +9,10 @@ Three bounds, ordered ub_k <= ub2 <= ub1 and all above p_F:
   ub_k  first k terms summed exactly, remaining tail bounded by a
         geometric series in q_k; ub2 is the k = 1 member.
 
-Every bound costs O(1) beyond the k exact terms, versus O(J) for the
-full sum.  The guarantee predicates give lift thresholds under which
-the absolute error is at most p_0.
+ub2, ub_k and p_F are prefixes of one series, which report walks once
+(exact._walk).  Every bound costs O(1) beyond the k exact terms, versus
+O(J) for the full sum.  The guarantee predicates give lift thresholds
+under which the absolute error is at most p_0.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from dataclasses import dataclass
 
 from .chi2 import Chi2Result, chi2_one_sided
 from .contingency import ContingencyTable, DerivedStats, derive_stats
-from .errors import InvalidK, NegativeDependency
-from .exact import (
-    PValue,
-    TermEngine,
-    _kahan_partial,
-    exact_fisher_certified,
-    make_term_engine,
-)
+from .errors import InvalidK, NegativeDependency, OutOfRange
+from .exact import PValue, TermEngine, _log_tail_factor, _walk, make_term_engine
 
 __all__ = [
     "ApproxReport",
@@ -42,7 +37,9 @@ __all__ = [
     "report",
 ]
 
-GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+def _require_k(k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InvalidK(f"k must be a positive integer, got {k!r}")
 
 
 def _require_positive(engine: TermEngine, what: str) -> None:
@@ -70,40 +67,14 @@ def ub1(engine: TermEngine) -> PValue:
 def ub_k(engine: TermEngine, k: int) -> PValue:
     """First k terms exact, the rest bounded geometrically in q_k.
 
-    Once k - 1 > J every term is summed exactly and the result equals
-    exact_fisher's bit for bit; the same already holds at k - 1 = J,
-    where the geometric factor collapses to 1.  terms_evaluated records
-    min(k, J + 1), the number of exactly computed terms.
+    exact._walk up to term k - 1.  Once k - 1 >= J every term is summed
+    exactly and the result equals exact_fisher's bit for bit.
+    terms_evaluated records min(k, J + 1), the number of exactly
+    computed terms.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InvalidK(f"k must be a positive integer, got {k!r}")
+    _require_k(k)
     _require_positive(engine, "ub_k")
-    j = engine.j
-    tail_from = k - 1
-    total, comp, prod = _kahan_partial(engine, min(tail_from, j + 1))
-    if tail_from <= j:
-        if tail_from > 0:
-            prod *= engine.ratio(tail_from)
-        t = engine.table
-        a = (t.mxna - tail_from) * (t.mnxa - tail_from)
-        b = (t.mxa + tail_from + 1) * (t.mnxna + tail_from + 1)
-        if a >= b:
-            # q < 1 is proven under positive dependency; guards the division below
-            raise RuntimeError(f"ratio q_{tail_from + 1} >= 1 on {t}")
-        if a == 0:
-            geometric = 1.0
-        else:
-            d = (b - a) / b
-            if d == 1.0:
-                # q rounded away entirely; the series is 1 to double precision
-                geometric = 1.0
-            else:
-                geometric = -math.expm1((j - tail_from + 1) * math.log1p(-d)) / d
-        y = prod * geometric - comp
-        t2 = total + y
-        comp = (t2 - total) - y
-        total = t2
-    return PValue.from_log(engine.log_p0 + math.log(total), min(k, j + 1))
+    return _walk(engine, k, False)[2]
 
 
 def ub2(engine: TermEngine) -> PValue:
@@ -118,11 +89,10 @@ def error_bound_ub_k(engine: TermEngine, k: int) -> float:
     """Ceiling on ub_k - p_F: p_0 q_k^2 / (1 - q_k), or 0 once no tail is left.
 
     Scaled by p_0 even though the approximated tail begins only at term
-    k - 1, which keeps the ceiling loose; _error_bound_ub_k_tail scales
-    by that term instead and exists for the test suite.
+    k - 1, which keeps the ceiling loose.  report carries its log, which
+    stays finite where this linear value underflows.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InvalidK(f"k must be a positive integer, got {k!r}")
+    _require_k(k)
     _require_positive(engine, "error_bound_ub_k")
     return math.exp(engine.log_p0 + _log_tail_factor(engine, k - 1)) if k <= engine.j else 0.0
 
@@ -130,28 +100,6 @@ def error_bound_ub_k(engine: TermEngine, k: int) -> float:
 def error_bound_ub2(engine: TermEngine) -> float:
     """Ceiling on ub2 - p_F: p_0 q_1^2 / (1 - q_1)."""
     return error_bound_ub_k(engine, 1)
-
-
-def _log_tail_factor(engine: TermEngine, l: int) -> float:
-    """ln(q^2 / (1 - q)) for q = q_{l+1}, from exact integer products."""
-    t = engine.table
-    a = (t.mxna - l) * (t.mnxa - l)
-    b = (t.mxa + l + 1) * (t.mnxna + l + 1)
-    return 2.0 * math.log(a) - math.log(b) - math.log(b - a)
-
-
-def _error_bound_ub_k_tail(engine: TermEngine, k: int) -> float:
-    """Variant of error_bound_ub_k scaled by the term the tail starts from.
-
-    Tighter than the published form whenever k > 1; kept private as a
-    test-suite reference point.
-    """
-    if k > engine.j:
-        return 0.0
-    log_scale = engine.log_p0
-    for i in range(1, k):
-        log_scale += math.log(engine.ratio(i))
-    return math.exp(log_scale + _log_tail_factor(engine, k - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,8 +134,9 @@ class ApproxReport:
 
     p_fisher is the exact value from the certified early-stopping sum,
     equal bit for bit to the full O(J) sum, and None when skipped; all
-    other fields are constant-time.  error_bound is the ceiling for the
-    ub_k actually used.
+    other fields are constant-time.  log_error_bound and
+    log_error_bound_ub2 are the logs of the error ceilings of ub_k and
+    ub2, -inf once no tail is left.
     """
 
     table: ContingencyTable
@@ -196,7 +145,8 @@ class ApproxReport:
     ub2: PValue
     ub_k: PValue
     k_used: int
-    error_bound: float
+    log_error_bound: float
+    log_error_bound_ub2: float
     guarantee_ub1: bool
     guarantee_ub2: bool
     chi2: Chi2Result
@@ -206,24 +156,32 @@ class ApproxReport:
 def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> ApproxReport:
     """Evaluate every measure for one table.
 
-    p_fisher comes from exact_fisher_certified, so its cost is the number
-    of terms that can still change the double result: a few dozen on
-    strong tables, O(sqrt n) near independence, at most J + 1.
+    ub2, ub_k, both error ceilings and p_fisher come from one pass of
+    exact._walk.  p_fisher stops once the rest cannot change the double
+    result: a few dozen terms on strong tables, O(sqrt n) near
+    independence, at most J + 1.  Counts too large for double-precision
+    arithmetic raise OutOfRange.
     """
-    stats = derive_stats(t)
-    engine = make_term_engine(t)
+    try:
+        stats = derive_stats(t)
+        engine = make_term_engine(t)
+    except OverflowError:  # lgamma from n of about 2.5e305, derive_stats from 1.8e308
+        raise OutOfRange("counts too large for double-precision arithmetic") from None
     _require_positive(engine, "report")
+    _require_k(k)
     flags = guarantees(stats)
+    ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
     return ApproxReport(
         table=t,
         stats=stats,
         ub1=ub1(engine),
-        ub2=ub2(engine),
-        ub_k=ub_k(engine, k),
+        ub2=ub2_pv,
+        ub_k=ubk_pv,
         k_used=k,
-        error_bound=error_bound_ub_k(engine, k),
+        log_error_bound=log_err_ubk,
+        log_error_bound_ub2=log_err_ub2,
         guarantee_ub1=flags.ub1_within_p0,
         guarantee_ub2=flags.ub2_within_p0,
         chi2=chi2_one_sided(t, stats),
-        p_fisher=exact_fisher_certified(engine) if include_exact else None,
+        p_fisher=p_fisher,
     )

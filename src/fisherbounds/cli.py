@@ -18,6 +18,7 @@ from typing import IO, Sequence
 from . import __version__
 from .batch import (
     Reject,
+    _format_log,
     format_float,
     format_pvalue,
     read_table_csv,
@@ -33,10 +34,9 @@ from .bench import (
     large_scale_terms,
     run_bench,
 )
-from .bounds import error_bound_ub2, report
-from .contingency import build_table, derive_stats, negate_consequent
+from .bounds import report
+from .contingency import build_table, negate_consequent
 from .errors import NegativeDependency
-from .exact import make_term_engine
 from .ranking import rank_agreement, rows_from_batch_csv
 from .reftables import STATUS_ANNOTATED, STATUS_FAIL, check_rows
 from .sweep import SweepSpec, run_sweep, write_sweep_csv
@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
     p_batch.add_argument("--no-exact", action="store_true")
     p_batch.add_argument("--out", help="output CSV path (default stdout)")
     p_batch.add_argument("--rejects", help="rejected-rows CSV path")
-    p_batch.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_batch.set_defaults(handler=_cmd_batch)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a range of overlap counts")
@@ -143,15 +142,14 @@ def _cmd_eval(args) -> int:
     t = build_table(args.n, args.mx, args.ma, args.mxa)
     if args.negate:
         t = negate_consequent(t)
-    s = derive_stats(t)
-    if not s.positive_dependency:
+    if t.delta_counts <= 0:
         raise NegativeDependency(
             f"no positive dependency at mxa={t.mxa}"
             f" (expected overlap {t.mx * t.ma / t.n:g}); --negate tests the"
             " opposite direction"
         )
     rep = report(t, k=args.k, include_exact=not args.no_exact)
-    engine = make_term_engine(t)
+    s = rep.stats
     lines = [
         ("n", str(t.n)),
         ("mx", str(t.mx)),
@@ -169,8 +167,8 @@ def _cmd_eval(args) -> int:
         ("ub1", format_pvalue(rep.ub1)),
         ("ub2", format_pvalue(rep.ub2)),
         (f"ub{rep.k_used}", format_pvalue(rep.ub_k)),
-        ("err_bound_ub2", format_float(error_bound_ub2(engine))),
-        (f"err_bound_ub{rep.k_used}", format_float(rep.error_bound)),
+        ("err_bound_ub2", _format_log(rep.log_error_bound_ub2)),
+        (f"err_bound_ub{rep.k_used}", _format_log(rep.log_error_bound)),
         ("chi2_p", format_float(rep.chi2.p_one_sided)),
         ("chi2_stat", format_float(rep.chi2.statistic)),
         ("min_expected", format_float(rep.chi2.min_expected)),
@@ -205,11 +203,7 @@ def _reject_summary(results, out: IO[str]) -> None:
 def _cmd_batch(args) -> int:
     rows = read_table_csv(args.input)
     results = run_batch(
-        rows,
-        k=args.k,
-        negate=args.negate,
-        include_exact=not args.no_exact,
-        jobs=args.jobs,
+        rows, k=args.k, negate=args.negate, include_exact=not args.no_exact
     )
     out, close_out = _open_out(args.out)
     try:
@@ -321,7 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,10 +15,10 @@ keeps the accumulation well conditioned and immune to p_0 underflow.
 Each q_i is one float division of two exact integer products, matching
 the cancellation that derives the ratio in the first place.
 
-exact_fisher sums all J + 1 terms and is the reference.
-exact_fisher_certified sums the same terms in the same order but stops
-as soon as the rest provably cannot change the double total, so both
-return the same bits.
+exact_fisher sums all J + 1 terms and is the reference.  _walk sums
+the same terms in the same order once for ub2, ub_k and the certified
+p_F, which stops as soon as the rest provably cannot change the double
+total, so both return the same bits.
 """
 
 from __future__ import annotations
@@ -90,11 +90,16 @@ class TermEngine:
         """q_i as a single division of two exact integer products."""
         if not 1 <= i <= self.j:
             raise OutOfRange(f"i={i} outside 1..{self.j}")
+        a, b = self._ratio_parts(i - 1)
+        return a / b
+
+    def _ratio_parts(self, l: int) -> tuple[int, int]:
+        """Numerator and denominator of q_{l+1} as exact integers."""
         t = self.table
-        return ((t.mxna - i + 1) * (t.mnxa - i + 1)) / ((t.mxa + i) * (t.mnxna + i))
+        return (t.mxna - l) * (t.mnxa - l), (t.mxa + l + 1) * (t.mnxna + l + 1)
 
     def ratios(self):
-        """Yield q_1 .. q_J in order."""
+        """Yield q_1 .. q_J in order; the hot loop inlines _ratio_parts."""
         t = self.table
         mxa, mxna, mnxa, mnxna = t.mxa, t.mxna, t.mnxa, t.mnxna
         for i in range(1, self.j + 1):
@@ -144,27 +149,6 @@ def make_term_engine(t: ContingencyTable) -> TermEngine:
     return TermEngine(t, log_p0, log_pabs, mxna if mxna < mnxa else mnxa)
 
 
-def _kahan_partial(engine: TermEngine, count: int) -> tuple[float, float, float]:
-    """Compensated sum of the first count partial products 1, q_1, q_1 q_2, ...
-
-    Returns (sum, compensation, last product).  The upper-bound family
-    reuses this exact accumulation order for its leading terms, so a
-    bound with no tail left reproduces exact_fisher bit for bit.
-    """
-    total = 0.0
-    comp = 0.0
-    prod = 1.0
-    ratios = engine.ratios()
-    for i in range(count):
-        if i > 0:
-            prod *= next(ratios)
-        y = prod - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total, comp, prod
-
-
 def exact_fisher(engine: TermEngine) -> PValue:
     """Exact p_F of a positive dependency; costs O(J) ratio steps.
 
@@ -175,8 +159,38 @@ def exact_fisher(engine: TermEngine) -> PValue:
         raise NegativeDependency(
             "exact_fisher needs a positive dependency; negate the consequent first"
         )
-    total, _, _ = _kahan_partial(engine, engine.j + 1)
+    total, comp, prod = 1.0, 0.0, 1.0
+    for q in engine.ratios():
+        prod *= q
+        y = prod - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
     return PValue.from_log(engine.log_p0 + math.log(total), engine.j + 1)
+
+
+def _log_tail_factor(engine: TermEngine, l: int) -> float:
+    """ln(q^2 / (1 - q)) for q = q_{l+1}, from exact integer products."""
+    a, b = engine._ratio_parts(l)
+    return 2.0 * math.log(a) - math.log(b) - math.log(b - a)
+
+
+def _tail(engine: TermEngine, l: int, total: float, comp: float, prod: float):
+    """ln of the sum closed at term l by a geometric tail in q = q_{l+1}
+    (total - comp sums terms 0 .. l - 1, prod is term l), and ln of its
+    error ceiling p_0 q^2 / (1 - q), -inf if l = J."""
+    a, b = engine._ratio_parts(l)
+    if a >= b:
+        # q < 1 is proven under positive dependency; guards the division below
+        raise RuntimeError(f"ratio q_{l + 1} >= 1 on {engine.table}")
+    d = (b - a) / b
+    if d == 1.0:
+        # q is 0 (l = J) or rounded away entirely; the series is 1
+        geometric = 1.0
+    else:
+        geometric = -math.expm1((engine.j - l + 1) * math.log1p(-d)) / d
+    log_ceiling = engine.log_p0 + _log_tail_factor(engine, l) if a else -math.inf
+    return engine.log_p0 + math.log(total + (prod * geometric - comp)), log_ceiling
 
 
 # The geometric tail bound is used only while 1 - q >= 8 u (u = 2^-53).
@@ -186,10 +200,16 @@ _GEOMETRIC_Q_MAX = 1.0 - 2.0**-50
 _SUBNORMAL_SLACK = 2.0**-1021
 
 
-def exact_fisher_certified(engine: TermEngine) -> PValue:
-    """Exact p_F, stopping once the unsummed terms cannot change it.
+def _walk(engine: TermEngine, k: int, exact: bool):
+    """One compensated pass over 1, q_1, q_1 q_2, ... for ub2, ub_k and p_F.
 
-    Walks the terms of exact_fisher in the same compensated order and
+    Returns (ub2, ln of its error ceiling, ub_k, ln of its error
+    ceiling, p_F or None).  A geometric tail closes the prefix sum at
+    term 0 for ub2 and at term k - 1 for ub_k, which is the full sum
+    once k - 1 > J.  The walk ends at the later of term k - 1 and, if
+    exact, the certified stop below.
+
+    p_F sums the terms of exact_fisher in the same compensated order and
     stops before the next term when the running product prod has
     underflowed to 0.0, or when the float test
 
@@ -233,32 +253,56 @@ def exact_fisher_certified(engine: TermEngine) -> PValue:
        and comparing with the float ulp(total) / 2 are monotone, so the
        test passing implies 2S - comp < ulp(total) / 2, and 3 applies.
     """
-    if not engine.positive_dependency:
-        raise NegativeDependency(
-            "exact_fisher_certified needs a positive dependency;"
-            " negate the consequent first"
-        )
+    j = engine.j
+    log_ub2, log_err_ub2 = _tail(engine, 0, 0.0, 0.0, 1.0)
+    log_ubk, log_err_ubk = log_ub2, log_err_ub2
+    p_fisher = None
     ulp = math.ulp
-    slack = engine.j * _SUBNORMAL_SLACK
-    total = 1.0
-    comp = 0.0
-    prod = 1.0
-    remaining = engine.j
+    slack = j * _SUBNORMAL_SLACK
+    total, comp, prod = 1.0, 0.0, 1.0  # term 0 added to the state (0, 0, 1)
+    remaining = j  # unsummed terms
+    tail_left = j + 2 - k  # remaining when term k - 1 comes up
     for q in engine.ratios():
-        if prod == 0.0:
-            break
-        g = q / (1.0 - q) if q <= _GEOMETRIC_Q_MAX else remaining
-        if g > remaining:
-            g = remaining
-        if 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
+        if exact:
+            g = q / (1.0 - q) if q <= _GEOMETRIC_Q_MAX else remaining
+            if g > remaining:
+                g = remaining
+            if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
+                p_fisher = PValue.from_log(engine.log_p0 + math.log(total), j + 1 - remaining)
+                if remaining < tail_left:
+                    break
+                exact = False
+        elif remaining < tail_left:
             break
         prod *= q
+        if remaining == tail_left:
+            log_ubk, log_err_ubk = _tail(engine, k - 1, total, comp, prod)
         y = prod - comp
         t = total + y
         comp = (t - total) - y
         total = t
         remaining -= 1
-    return PValue.from_log(engine.log_p0 + math.log(total), engine.j + 1 - remaining)
+    else:
+        if exact:
+            p_fisher = PValue.from_log(engine.log_p0 + math.log(total), j + 1)
+        if tail_left < 1:
+            log_ubk, log_err_ubk = engine.log_p0 + math.log(total), -math.inf
+    ub_k = PValue.from_log(log_ubk, min(k, j + 1))
+    return PValue.from_log(log_ub2, 1), log_err_ub2, ub_k, log_err_ubk, p_fisher
+
+
+def exact_fisher_certified(engine: TermEngine) -> PValue:
+    """Exact p_F from _walk, stopping once the unsummed terms cannot change it.
+
+    raw_log equals exact_fisher's bit for bit (the proof is in _walk);
+    terms_evaluated counts the terms actually summed.
+    """
+    if not engine.positive_dependency:
+        raise NegativeDependency(
+            "exact_fisher_certified needs a positive dependency;"
+            " negate the consequent first"
+        )
+    return _walk(engine, 1, True)[4]
 
 
 ORACLE_CAP = 20_000

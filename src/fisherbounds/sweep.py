@@ -1,7 +1,7 @@
 """Overlap sweeps: fixed margins, a range of overlap counts.
 
 A sweep walks mxa over [mxa_lo, mxa_hi] with n, mx, ma held fixed and
-evaluates the exact tail and the bound family at each point.  This is
+evaluates report at each point, so values print as in batch.  This is
 the shape of a convergence study: as the overlap count grows past
 independence, every bound closes onto the exact value from above.
 """
@@ -12,10 +12,10 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterator
 
-from .bounds import ub1, ub2, ub_k
-from .contingency import ContingencyTable, build_table, derive_stats
+from .bounds import report, ub_k
+from .contingency import ContingencyTable, build_table
 from .errors import InvalidK, NegativeDependency
-from .exact import exact_fisher_certified, make_term_engine
+from .exact import PValue, make_term_engine
 
 __all__ = ["SweepSpec", "SweepPoint", "run_sweep", "sweep_header", "write_sweep_csv"]
 
@@ -71,17 +71,23 @@ class SweepPoint:
     leverage: float
     odds_ratio: float
     terms: int
-    p_fisher: float | None
-    ub1: float
-    ub2: float
-    ub_ks: dict[int, float]
+    p_fisher: PValue | None
+    ub1: PValue
+    ub2: PValue
+    ub_ks: dict[int, PValue]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
+    """One report per overlap at the first order in ks, plus ub_k for the rest."""
+    ks = spec.ks
     points = []
     for t in spec.tables():
-        s = derive_stats(t)
-        engine = make_term_engine(t)
+        rep = report(t, k=ks[0] if ks else 1, include_exact=spec.include_exact)
+        ub_ks = dict.fromkeys(ks[:1], rep.ub_k)
+        if len(ks) > 1:
+            engine = make_term_engine(t)
+            ub_ks.update((k, ub_k(engine, k)) for k in ks[1:])
+        s = rep.stats
         points.append(
             SweepPoint(
                 table=t,
@@ -89,12 +95,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
                 leverage=s.leverage,
                 odds_ratio=s.odds_ratio,
                 terms=s.j + 1,
-                p_fisher=exact_fisher_certified(engine).linear_value
-                if spec.include_exact
-                else None,
-                ub1=ub1(engine).linear_value,
-                ub2=ub2(engine).linear_value,
-                ub_ks={k: ub_k(engine, k).linear_value for k in spec.ks},
+                p_fisher=rep.p_fisher,
+                ub1=rep.ub1,
+                ub2=rep.ub2,
+                ub_ks=ub_ks,
             )
         )
     return points
@@ -108,7 +112,7 @@ def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
 
 
 def write_sweep_csv(out: IO[str], spec: SweepSpec, points: list[SweepPoint]) -> None:
-    from .batch import format_float
+    from .batch import format_float, format_pvalue
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(sweep_header(spec))
@@ -121,9 +125,9 @@ def write_sweep_csv(out: IO[str], spec: SweepSpec, points: list[SweepPoint]) -> 
                 format_float(p.lift),
                 format_float(p.leverage),
                 format_float(p.odds_ratio),
-                format_float(p.p_fisher) if p.p_fisher is not None else "",
-                format_float(p.ub1),
-                format_float(p.ub2),
-                *(format_float(p.ub_ks[k]) for k in spec.ks),
+                format_pvalue(p.p_fisher) if p.p_fisher is not None else "",
+                format_pvalue(p.ub1),
+                format_pvalue(p.ub2),
+                *(format_pvalue(p.ub_ks[k]) for k in spec.ks),
             ]
         )

@@ -28,6 +28,7 @@ from fisherbounds.batch import (
     REASON_DEGENERATE,
     REASON_MARGIN,
     REASON_NONPOSITIVE,
+    REASON_OUT_OF_RANGE,
 )
 from fisherbounds.cli import EXIT_OK, main
 
@@ -129,18 +130,6 @@ class TestRunBatch:
         assert rec.report.chi2.p_one_sided == 0.0
         assert rec.rank_keys["chi2_p"] == -math.inf
 
-    def test_threaded_run_matches_sequential_byte_for_byte(self):
-        rows = [
-            (f"r{n}_{mxa}", [str(n), str(n // 5), str(n // 4), str(mxa)])
-            for n in (40, 200, 1000)
-            for mxa in range(n // 20 + 1, n // 5)
-        ]
-        sequential = io.StringIO()
-        threaded = io.StringIO()
-        write_batch_csv(sequential, run_batch(rows))
-        write_batch_csv(threaded, run_batch(rows, jobs=4))
-        assert sequential.getvalue() == threaded.getvalue()
-
 
 class TestFormatting:
     def test_format_float_keeps_six_significant_digits(self):
@@ -194,6 +183,19 @@ class TestCsvWriters:
         assert row["p_fisher"] == "0.0428803"
         assert row["min_expected"] == "50"
         assert row["clamped"] == "0"
+
+    def test_error_ceiling_prints_from_the_log(self):
+        out = io.StringIO()
+        write_batch_csv(out, run_batch([("d", ["5000", "2500", "2500", "2400"])]))
+        row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
+        assert row["err_bound"] == "1.39671e-1147"
+
+    def test_error_ceiling_without_a_tail_prints_zero(self):
+        out = io.StringIO()
+        write_batch_csv(out, run_batch([("z", ["1000", "200", "250", "60"])], k=141))
+        row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
+        assert row["err_bound"] == "0"
+        assert row["ubk"] == row["p_fisher"]
 
     def test_clamped_column_flags_any_clamped_bound(self):
         out = io.StringIO()
@@ -251,3 +253,22 @@ class TestLargeTables:
             assert keys["p_fisher"] <= keys["ubk"] <= keys["ub2"] <= keys["ub1"]
         # the full sums would take 5.5 million terms
         assert elapsed < 1.0
+
+    def test_oversized_rows_do_not_abort_the_command(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "id,n,mx,ma,mxa\n"
+            "ordinary,1000,200,250,60\n"
+            f"e306,{10**306},{10**305},{10**305},{10**305 // 2}\n"
+            f"e400,{10**400},{10**399},{10**399},{10**399 // 2}\n",
+        )
+        out = tmp_path / "out.csv"
+        rejects = tmp_path / "rejects.csv"
+        assert main(["batch", path, "--out", str(out), "--rejects", str(rejects)]) == EXIT_OK
+        assert [r.row_id for r in rows_from_batch_csv(str(out))] == ["ordinary"]
+        detail = "counts too large for double-precision arithmetic"
+        lines = rejects.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [
+            f"e306,{REASON_OUT_OF_RANGE},{detail}",
+            f"e400,{REASON_OUT_OF_RANGE},{detail}",
+        ]

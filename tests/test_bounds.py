@@ -15,6 +15,7 @@ import pytest
 from fisherbounds import (
     InvalidK,
     NegativeDependency,
+    OutOfRange,
     build_table,
     chi2_one_sided,
     derive_stats,
@@ -28,9 +29,9 @@ from fisherbounds import (
     ub2,
     ub_k,
 )
-from fisherbounds.bounds import _error_bound_ub_k_tail
+from fisherbounds.bounds import _log_tail_factor
 
-from conftest import iter_exhaustive, random_positive_tables
+from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
 
 
 def _p0(t) -> Fraction:
@@ -82,6 +83,62 @@ def _err_k(t, k: int) -> Fraction:
         return Fraction(0)
     q = _q(t, k)
     return _p0(t) * q * q / (1 - q)
+
+
+def _error_bound_ub_k_tail(engine, k: int) -> float:
+    """error_bound_ub_k scaled by the term the tail starts from, not by p_0.
+
+    Tighter than the published form whenever k > 1; a reference point.
+    """
+    if k > engine.j:
+        return 0.0
+    log_scale = engine.log_p0
+    for i in range(1, k):
+        log_scale += math.log(engine.ratio(i))
+    return math.exp(log_scale + _log_tail_factor(engine, k - 1))
+
+
+def _kahan_partial(engine, count: int) -> tuple[float, float, float]:
+    """Compensated sum of the first count products 1, q_1, q_1 q_2, ...
+
+    Returns (sum, compensation, last product), each prefix walked anew.
+    """
+    total = 0.0
+    comp = 0.0
+    prod = 1.0
+    ratios = engine.ratios()
+    for i in range(count):
+        if i > 0:
+            prod *= next(ratios)
+        y = prod - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total, comp, prod
+
+
+def _two_pass_ub_k(engine, k: int) -> float:
+    """raw_log of ub_k as a separate prefix walk plus geometric tail."""
+    j = engine.j
+    tail_from = k - 1
+    total, comp, prod = _kahan_partial(engine, min(tail_from, j + 1))
+    if tail_from <= j:
+        if tail_from > 0:
+            prod *= engine.ratio(tail_from)
+        t = engine.table
+        a = (t.mxna - tail_from) * (t.mnxa - tail_from)
+        b = (t.mxa + tail_from + 1) * (t.mnxna + tail_from + 1)
+        if a == 0:
+            geometric = 1.0
+        else:
+            d = (b - a) / b
+            if d == 1.0:
+                geometric = 1.0
+            else:
+                geometric = -math.expm1((j - tail_from + 1) * math.log1p(-d)) / d
+        y = prod * geometric - comp
+        total += y
+    return engine.log_p0 + math.log(total)
 
 
 SMALL_POSITIVE = list(iter_exhaustive(max_n=22, positive_only=True))
@@ -278,7 +335,8 @@ class TestReport:
         assert rep.ub1.raw_log == ub1(engine).raw_log
         assert rep.ub2.raw_log == ub2(engine).raw_log
         assert rep.ub_k.raw_log == ub_k(engine, 3).raw_log
-        assert rep.error_bound == error_bound_ub_k(engine, 3)
+        assert math.exp(rep.log_error_bound) == error_bound_ub_k(engine, 3)
+        assert math.exp(rep.log_error_bound_ub2) == error_bound_ub2(engine)
         assert rep.p_fisher is not None
         assert rep.p_fisher.raw_log == exact_fisher(engine).raw_log
         flags = guarantees(rep.stats)
@@ -293,3 +351,58 @@ class TestReport:
     def test_refuses_nonpositive_dependency(self):
         with pytest.raises(NegativeDependency):
             report(build_table(100, 50, 50, 25))
+
+    def test_error_ceilings_stay_finite_in_log_space(self):
+        # the linear ceilings underflow to 0.0 although J = 100 > k
+        t = build_table(5000, 2500, 2500, 2400)
+        engine = make_term_engine(t)
+        rep = report(t, k=3)
+        assert error_bound_ub_k(engine, 3) == 0.0
+        assert rep.log_error_bound == engine.log_p0 + _log_tail_factor(engine, 2)
+        assert rep.log_error_bound_ub2 == engine.log_p0 + _log_tail_factor(engine, 0)
+        assert -3000.0 < rep.log_error_bound < rep.log_error_bound_ub2 < -2000.0
+
+    def test_no_tail_left_gives_a_zero_ceiling(self):
+        t = build_table(1000, 200, 250, 60)
+        rep = report(t, k=t.j + 1)
+        assert rep.log_error_bound == -math.inf
+        assert report(build_table(10, 4, 7, 4)).log_error_bound_ub2 == -math.inf
+
+    def test_counts_beyond_double_range_raise_out_of_range(self):
+        for n in (10**306, 10**400):
+            with pytest.raises(OutOfRange, match="too large"):
+                report(build_table(n, n // 4, n // 4, n // 8))
+
+
+class TestOnePass:
+    """report walks the ratio sequence once; each value keeps the bits of
+    its own separate walk: ub2 and ub_k of _two_pass_ub_k, and p_F of the
+    full O(J) sum."""
+
+    @staticmethod
+    def _check(tables) -> None:
+        for t in tables:
+            engine = make_term_engine(t)
+            ub2_bits = _two_pass_ub_k(engine, 1)
+            p_bits = exact_fisher(engine).raw_log
+            for k in {1, 2, 3, 5, t.j + 1, t.j + 2}:
+                rep = report(t, k=k)
+                assert rep.ub2.raw_log == ub2_bits, (t, k)
+                assert rep.ub_k.raw_log == _two_pass_ub_k(engine, k), (t, k)
+                assert rep.p_fisher.raw_log == p_bits, (t, k)
+                if k > t.j:
+                    assert rep.ub_k.raw_log == p_bits, (t, k)
+
+    def test_exhaustive_corpus(self):
+        self._check(iter_exhaustive(positive_only=True))
+
+    def test_random_corpus(self):
+        self._check(random_positive_tables(2000, 20000, seed=CORPUS_SEED))
+
+    def test_bounds_without_the_exact_sum_keep_their_bits(self):
+        for t in random_positive_tables(500, 20000, seed=CORPUS_SEED):
+            engine = make_term_engine(t)
+            for k in (1, 3, t.j + 2):
+                rep = report(t, k=k, include_exact=False)
+                assert rep.ub2.raw_log == _two_pass_ub_k(engine, 1), (t, k)
+                assert rep.ub_k.raw_log == _two_pass_ub_k(engine, k), (t, k)

@@ -70,6 +70,20 @@ class TestEval:
         assert main(["eval", "5000", "2500", "2500", "2400"]) == EXIT_OK
         out = _lines_as_dict(capsys.readouterr().out)
         assert "e-" in out["p_fisher"]
+        # J = 100 > k, so neither ceiling is 0 though both underflow doubles
+        assert out["err_bound_ub2"] == "1.51943e-1147"
+        assert out["err_bound_ub3"] == "1.39671e-1147"
+
+    @pytest.mark.parametrize("n", [10**306, 10**400], ids=["e306", "e400"])
+    def test_counts_beyond_double_range_exit_two(self, n, capsys):
+        counts = [str(n), str(n // 10), str(n // 10), str(n // 20)]
+        assert main(["eval", *counts]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: counts too large")
+        assert main(["sweep", *counts, str(n // 20 + 1)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: counts too large")
+        # a table without positive dependency fails before any evaluation
+        assert main(["eval", str(n), str(n // 2), str(n // 2), "1"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_nonpositive_dependency_exits_two_with_a_hint(self, capsys):
         assert main(["eval", "100", "50", "50", "20"]) == EXIT_DATA
@@ -132,13 +146,6 @@ class TestBatch:
         assert main(["batch", str(input_csv)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines()[0] == ",".join(OUTPUT_HEADER)
-
-    def test_parallel_output_matches_sequential(self, input_csv, tmp_path):
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert main(["batch", str(input_csv), "--out", str(seq)]) == EXIT_OK
-        assert main(["batch", str(input_csv), "--out", str(par), "--jobs", "3"]) == EXIT_OK
-        assert seq.read_bytes() == par.read_bytes()
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.csv")]) == EXIT_DATA

@@ -11,14 +11,17 @@ from fisherbounds import (
     MarginViolation,
     NegativeDependency,
     SweepSpec,
+    make_term_engine,
+    report,
     run_sweep,
     sweep_header,
+    ub_k,
     write_sweep_csv,
 )
 
 
-def _leq(a: float, b: float) -> bool:
-    return a <= b * (1.0 + 1e-12)
+def _leq(a, b) -> bool:
+    return a.linear_value <= b.linear_value * (1.0 + 1e-12)
 
 
 class TestSweepSpec:
@@ -70,26 +73,35 @@ class TestRunSweep:
 
     def test_gaps_close_as_the_overlap_grows(self):
         points = run_sweep(SweepSpec(1000, 200, 250, 51, 120, ks=(3,)))
-        gap2 = [p.ub2 - p.p_fisher for p in points]
-        gap3 = [p.ub_ks[3] - p.p_fisher for p in points]
+        gap2 = [p.ub2.linear_value - p.p_fisher.linear_value for p in points]
+        gap3 = [p.ub_ks[3].linear_value - p.p_fisher.linear_value for p in points]
         for gaps in (gap2, gap3):
             assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-        gap1 = [p.ub1 - p.p_fisher for p in points]
+        gap1 = [p.ub1.linear_value - p.p_fisher.linear_value for p in points]
         assert gap1[-1] < 1e-30 < gap1[0]
 
     def test_high_order_collapses_onto_the_exact_value(self):
         points = run_sweep(SweepSpec(100, 20, 30, 10, 15, ks=(200,)))
         for p in points:
-            assert p.ub_ks[200] == p.p_fisher
+            assert p.ub_ks[200].raw_log == p.p_fisher.raw_log
 
     def test_exact_column_is_optional(self):
         points = run_sweep(SweepSpec(1000, 200, 250, 55, 56, include_exact=False))
         assert all(p.p_fisher is None for p in points)
-        assert all(p.ub1 > 0 for p in points)
+        assert all(p.ub1.linear_value > 0 for p in points)
 
     def test_requested_orders_are_all_present(self):
         points = run_sweep(SweepSpec(1000, 200, 250, 60, 60, ks=(3, 5, 8)))
         assert set(points[0].ub_ks) == {3, 5, 8}
+
+    def test_points_match_report_and_ub_k(self):
+        spec = SweepSpec(1000, 200, 250, 58, 60, ks=(4, 7))
+        for p in run_sweep(spec):
+            rep = report(p.table, k=4)
+            engine = make_term_engine(p.table)
+            assert p.p_fisher == rep.p_fisher
+            assert (p.ub1, p.ub2, p.ub_ks[4]) == (rep.ub1, rep.ub2, rep.ub_k)
+            assert p.ub_ks[7] == ub_k(engine, 7)
 
 
 class TestWriteSweepCsv:
@@ -116,8 +128,22 @@ class TestWriteSweepCsv:
         assert first["lift"] == "1.2"
         assert first["leverage"] == "0.01"
         assert first["p_fisher"] == "0.0428803"
-        assert first["ub1"] == f"{points[0].ub1:.6g}"
-        assert first["ub3"] == f"{points[0].ub_ks[3]:.6g}"
+        assert first["ub1"] == f"{points[0].ub1.linear_value:.6g}"
+        assert first["ub3"] == f"{points[0].ub_ks[3].linear_value:.6g}"
+
+    def test_underflowed_values_print_from_the_log(self):
+        spec = SweepSpec(5000, 2500, 2500, 2395, 2400)
+        out = io.StringIO()
+        write_sweep_csv(out, spec, run_sweep(spec))
+        header, *rows = out.getvalue().splitlines()
+        for line in rows:
+            row = dict(zip(header.split(","), line.split(",")))
+            for column in ("p_fisher", "ub1", "ub2", "ub3"):
+                assert int(row[column].partition("e")[2]) < -1000, row
+        # the same digits as eval 5000 2500 2500 2400 prints
+        assert dict(zip(header.split(","), rows[-1].split(",")))["p_fisher"] == (
+            "5.04951e-1142"
+        )
 
     def test_missing_exact_column_is_empty(self):
         spec = SweepSpec(1000, 200, 250, 60, 60, include_exact=False)
