@@ -20,7 +20,6 @@ from .batch import (
     read_table_csv,
     run_batch,
     write_batch_csv,
-    write_rejects_csv,
 )
 from .bench import (
     DEFAULT_REPETITIONS,
@@ -134,7 +133,6 @@ __all__ = [
     "read_table_csv",
     "run_batch",
     "write_batch_csv",
-    "write_rejects_csv",
     "format_float",
     "format_pvalue",
     "SweepSpec",

@@ -2,19 +2,22 @@
 
 Input rows carry the header id,n,mx,ma,mxa.  Each valid row becomes one
 output row; invalid rows go to a rejects stream with a reason code, and
-every input row lands in exactly one of the two.  Output row order
-always matches input order, and floats are printed with six significant
-digits, so batch output is a pure function of batch input.
+every input row lands in exactly one of the two.  Reading, evaluating
+and writing form one lazy pass in constant memory, in input order, and
+floats print with six significant digits, so batch output is a pure
+function of batch input.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
-from .bounds import ApproxReport, report
+from .bounds import ApproxReport, _require_k, report
 from .contingency import build_table, negate_consequent
 from .errors import DegenerateMargin, MarginViolation, OutOfRange
 
@@ -27,7 +30,6 @@ __all__ = [
     "read_table_csv",
     "run_batch",
     "write_batch_csv",
-    "write_rejects_csv",
     "format_float",
     "format_pvalue",
 ]
@@ -81,25 +83,41 @@ class Reject:
     detail: str
 
 
-def read_table_csv(path: str) -> list[tuple[str, list[str]]]:
-    """Rows of an id,n,mx,ma,mxa file as (id, remaining fields) pairs.
+def read_table_csv(path: str) -> Iterator[tuple[str, list[str]]]:
+    """Rows of an id,n,mx,ma,mxa file as (id, remaining fields) pairs, lazily.
 
-    The header is mandatory; blank lines are skipped; field-count and
-    value errors are left for run_batch to turn into rejects.  Rows
-    without a usable id get one derived from their line number.
+    The file is opened and its mandatory header checked at the call; the
+    rows are read as they are consumed.  Blank lines are skipped; a line
+    the csv module cannot split comes with no fields, and bytes that are
+    not UTF-8 read as U+FFFD, so run_batch rejects such a line like any
+    other malformed one.  Rows without an id get one from their line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    rows = _read_rows(path)
+    next(rows)  # runs to the header check; the file closes with the generator
+    return rows
+
+
+def _read_rows(path: str):
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error:
+            header = None
         if header is None or tuple(h.strip().lower() for h in header) != INPUT_HEADER:
             raise ValueError(f"expected header {','.join(INPUT_HEADER)!r} in {path}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
+        yield None
+        for line_no in itertools.count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error:  # e.g. a field over the csv module's size limit
+                yield f"line{line_no}", []
+                continue
             if not row or all(not f.strip() for f in row):
                 continue
-            row_id = row[0].strip() if row[0].strip() else f"line{line_no}"
-            rows.append((row_id, [f.strip() for f in row[1:]]))
-        return rows
+            yield row[0].strip() or f"line{line_no}", [f.strip() for f in row[1:]]
 
 
 def _evaluate(
@@ -140,15 +158,17 @@ def run_batch(
     k: int = 3,
     negate: bool = False,
     include_exact: bool = True,
-) -> list[BatchRecord | Reject]:
-    """Evaluate rows, preserving input order exactly.
+) -> Iterator[BatchRecord | Reject]:
+    """Evaluate rows lazily, one result per row in input order.
 
-    With negate, every table is replaced by its consequent negation
-    before evaluation.  Rows whose (possibly negated) table shows no
-    positive dependency are rejected, and so are rows whose counts are
-    too large for double-precision arithmetic.
+    k is checked at the call, before any row is read.  With negate,
+    every table is replaced by its consequent negation before
+    evaluation.  Rows whose (possibly negated) table shows no positive
+    dependency are rejected, and so are rows whose counts are too large
+    for double-precision arithmetic.
     """
-    return [_evaluate(rid, f, k, negate, include_exact) for rid, f in rows]
+    _require_k(k)
+    return (_evaluate(rid, f, k, negate, include_exact) for rid, f in rows)
 
 
 def format_float(value: float) -> str:
@@ -156,17 +176,16 @@ def format_float(value: float) -> str:
 
 
 def format_pvalue(pv) -> str:
-    """Six significant digits, synthesized from the log value when the
-    probability underflows doubles so deep tails stay distinguishable."""
-    if pv.linear_value > 0.0 or pv.raw_log == -math.inf:
-        return f"{pv.linear_value:.6g}"
-    return _format_log(pv.raw_log)
+    """Six significant digits of a probability; see _format_log."""
+    return _format_log(pv.log_value)
 
 
 def _format_log(log_value: float) -> str:
-    """format_pvalue for an unclamped log value such as an error ceiling."""
+    """Six significant digits of exp(log_value), from the linear value
+    while it is a normal double and from the log below that, where
+    subnormals keep too few bits and deep tails underflow to 0."""
     linear = math.exp(log_value) if log_value <= _LOG_DOUBLE_MAX else 0.0
-    if linear > 0.0 or log_value == -math.inf:
+    if linear >= sys.float_info.min or log_value == -math.inf:
         return f"{linear:.6g}"
     exponent10 = log_value / _LN10
     exponent = math.floor(exponent10)
@@ -206,25 +225,27 @@ def _output_row(rec: BatchRecord) -> list[str]:
     ]
 
 
-def write_batch_csv(out: IO[str], results: Iterable[BatchRecord | Reject]) -> int:
-    """Write evaluated rows in order; rejects are skipped.  Returns the count."""
+def write_batch_csv(
+    out: IO[str], results: Iterable[BatchRecord | Reject], rejects: IO[str] | None
+) -> tuple[int, dict[str, int]]:
+    """Write each result as it arrives, evaluated rows to out and rejects
+    to rejects (only counted when it is None), each stream under its
+    header.  Returns the rows written to out and the rejects per reason."""
     # csv defaults to CRLF; the output contract is LF
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(OUTPUT_HEADER)
+    reject_writer = None
+    if rejects is not None:
+        reject_writer = csv.writer(rejects, lineterminator="\n")
+        reject_writer.writerow(REJECT_HEADER)
     written = 0
+    by_reason: dict[str, int] = {}
     for item in results:
         if isinstance(item, BatchRecord):
             writer.writerow(_output_row(item))
             written += 1
-    return written
-
-
-def write_rejects_csv(out: IO[str], results: Iterable[BatchRecord | Reject]) -> int:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REJECT_HEADER)
-    written = 0
-    for item in results:
-        if isinstance(item, Reject):
-            writer.writerow([item.row_id, item.reason, item.detail])
-            written += 1
-    return written
+        else:
+            by_reason[item.reason] = by_reason.get(item.reason, 0) + 1
+            if reject_writer is not None:
+                reject_writer.writerow([item.row_id, item.reason, item.detail])
+    return written, by_reason

@@ -12,19 +12,18 @@ Exit codes: 0 success, 1 usage error, 2 validation or data failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import IO, Sequence
+from typing import Sequence
 
 from . import __version__
 from .batch import (
-    Reject,
     _format_log,
     format_float,
     format_pvalue,
     read_table_csv,
     run_batch,
     write_batch_csv,
-    write_rejects_csv,
 )
 from .bench import (
     DEFAULT_REPETITIONS,
@@ -35,7 +34,7 @@ from .bench import (
     run_bench,
 )
 from .bounds import report
-from .contingency import build_table, negate_consequent
+from .contingency import _smallest_admissible, build_table, negate_consequent
 from .errors import NegativeDependency
 from .ranking import rank_agreement, rows_from_batch_csv
 from .reftables import STATUS_ANNOTATED, STATUS_FAIL, check_rows
@@ -131,11 +130,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_out(path: str | None):
+def _open_csv(path: str | None, default):
     if path is None:
-        return sys.stdout, False
+        return contextlib.nullcontext(default)
     # newline="" keeps the csv module's LF terminators untranslated
-    return open(path, "w", encoding="utf-8", newline=""), True
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _cmd_eval(args) -> int:
@@ -144,9 +143,8 @@ def _cmd_eval(args) -> int:
         t = negate_consequent(t)
     if t.delta_counts <= 0:
         raise NegativeDependency(
-            f"no positive dependency at mxa={t.mxa}"
-            f" (expected overlap {t.mx * t.ma / t.n:g}); --negate tests the"
-            " opposite direction"
+            f"no positive dependency at mxa={t.mxa}; {_smallest_admissible(t)};"
+            " --negate tests the opposite direction"
         )
     rep = report(t, k=args.k, include_exact=not args.no_exact)
     s = rep.stats
@@ -185,37 +183,20 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _reject_summary(results, out: IO[str]) -> None:
-    rejects = [r for r in results if isinstance(r, Reject)]
-    if not rejects:
-        return
-    by_reason: dict[str, int] = {}
-    for r in rejects:
-        by_reason[r.reason] = by_reason.get(r.reason, 0) + 1
-    detail = ", ".join(f"{reason}={count}" for reason, count in sorted(by_reason.items()))
-    print(
-        f"rejected {len(rejects)} of {len(results)} rows ({detail});"
-        " use --rejects to capture them",
-        file=out,
-    )
-
-
 def _cmd_batch(args) -> int:
+    # the input, its header and k are checked before any output file exists
     rows = read_table_csv(args.input)
-    results = run_batch(
-        rows, k=args.k, negate=args.negate, include_exact=not args.no_exact
-    )
-    out, close_out = _open_out(args.out)
-    try:
-        write_batch_csv(out, results)
-    finally:
-        if close_out:
-            out.close()
-    if args.rejects:
-        with open(args.rejects, "w", encoding="utf-8", newline="") as fh:
-            write_rejects_csv(fh, results)
-    else:
-        _reject_summary(results, sys.stderr)
+    results = run_batch(rows, k=args.k, negate=args.negate, include_exact=not args.no_exact)
+    with _open_csv(args.out, sys.stdout) as out, _open_csv(args.rejects, None) as rejects:
+        written, by_reason = write_batch_csv(out, results, rejects)
+    if by_reason and not args.rejects:
+        rejected = sum(by_reason.values())
+        detail = ", ".join(f"{reason}={count}" for reason, count in sorted(by_reason.items()))
+        print(
+            f"rejected {rejected} of {written + rejected} rows ({detail});"
+            " use --rejects to capture them",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -230,12 +211,8 @@ def _cmd_sweep(args) -> int:
         include_exact=not args.no_exact,
     )
     points = run_sweep(spec)
-    out, close_out = _open_out(args.out)
-    try:
+    with _open_csv(args.out, sys.stdout) as out:
         write_sweep_csv(out, spec, points)
-    finally:
-        if close_out:
-            out.close()
     return EXIT_OK
 
 

@@ -153,6 +153,11 @@ def derive_stats(t: ContingencyTable) -> DerivedStats:
     )
 
 
+def _smallest_admissible(t: ContingencyTable) -> str:
+    """Hint for a table without positive dependency: n*mxa > mx*ma, in integers."""
+    return f"smallest admissible mxa is {t.mx * t.ma // t.n + 1}"
+
+
 def negate_consequent(t: ContingencyTable) -> ContingencyTable:
     """Table of the rule X -> not A, keeping n and mx fixed.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .bounds import report, ub_k
-from .contingency import ContingencyTable, build_table
+from .contingency import ContingencyTable, _smallest_admissible, build_table
 from .errors import InvalidK, NegativeDependency
 from .exact import PValue, make_term_engine
 
@@ -51,12 +51,9 @@ class SweepSpec:
         lo = build_table(self.n, self.mx, self.ma, self.mxa_lo)
         build_table(self.n, self.mx, self.ma, self.mxa_hi)
         if lo.delta_counts <= 0:
-            # delta_counts = n*mxa - mx*ma grows by n per unit of mxa
-            first_ok = self.mx * self.ma // self.n + 1
             raise NegativeDependency(
                 f"mxa={self.mxa_lo} gives no positive dependency for"
-                f" n={self.n}, mx={self.mx}, ma={self.ma};"
-                f" smallest admissible mxa is {first_ok}"
+                f" n={self.n}, mx={self.mx}, ma={self.ma}; {_smallest_admissible(lo)}"
             )
 
     def tables(self) -> Iterator[ContingencyTable]:

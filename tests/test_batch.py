@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -13,15 +14,18 @@ from fisherbounds import (
     OUTPUT_HEADER,
     REJECT_HEADER,
     BatchRecord,
+    InvalidK,
     PValue,
     Reject,
+    build_table,
+    exact_fisher_oracle,
     format_float,
     format_pvalue,
     read_table_csv,
+    report,
     rows_from_batch_csv,
     run_batch,
     write_batch_csv,
-    write_rejects_csv,
 )
 from fisherbounds.batch import (
     REASON_BAD_ROW,
@@ -30,7 +34,7 @@ from fisherbounds.batch import (
     REASON_NONPOSITIVE,
     REASON_OUT_OF_RANGE,
 )
-from fisherbounds.cli import EXIT_OK, main
+from fisherbounds.cli import EXIT_DATA, EXIT_OK, main
 
 
 def _write(tmp_path, text):
@@ -42,7 +46,7 @@ def _write(tmp_path, text):
 class TestReadTableCsv:
     def test_parses_rows_in_order(self, tmp_path):
         path = _write(tmp_path, "id,n,mx,ma,mxa\na,1000,200,250,60\nb,10,4,7,3\n")
-        assert read_table_csv(path) == [
+        assert list(read_table_csv(path)) == [
             ("a", ["1000", "200", "250", "60"]),
             ("b", ["10", "4", "7", "3"]),
         ]
@@ -58,15 +62,15 @@ class TestReadTableCsv:
 
     def test_header_case_and_spacing_are_forgiven(self, tmp_path):
         path = _write(tmp_path, "ID, N ,mx,MA,mxa\nr1,10,4,7,3\n")
-        assert read_table_csv(path) == [("r1", ["10", "4", "7", "3"])]
+        assert list(read_table_csv(path)) == [("r1", ["10", "4", "7", "3"])]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = _write(tmp_path, "id,n,mx,ma,mxa\n\na,10,4,7,3\n   \n\n")
-        assert read_table_csv(path) == [("a", ["10", "4", "7", "3"])]
+        assert list(read_table_csv(path)) == [("a", ["10", "4", "7", "3"])]
 
     def test_missing_id_falls_back_to_line_number(self, tmp_path):
         path = _write(tmp_path, "id,n,mx,ma,mxa\n,10,4,7,3\n\nx,10,4,7,2\n")
-        rows = read_table_csv(path)
+        rows = list(read_table_csv(path))
         assert rows[0][0] == "line2"
         assert rows[1][0] == "x"
 
@@ -81,7 +85,7 @@ class TestRunBatch:
             ("degenerate", ["10", "0", "7", "0"]),
             ("independent", ["100", "50", "50", "25"]),
         ]
-        results = run_batch(rows)
+        results = list(run_batch(rows))
         assert [r.row_id for r in results] == [rid for rid, _ in rows]
         kinds = [type(r) for r in results]
         assert kinds == [BatchRecord, Reject, Reject, Reject, Reject, Reject]
@@ -159,10 +163,26 @@ class TestFormatting:
         assert format_pvalue(pv) == "0"
 
 
+class TestSubnormalPrinting:
+    # p_F of each lies in the subnormal double range, 1e-323 to 1e-318
+    PROBE = (
+        (10_950, 4_703, 2_305, 1_794),
+        (11_238, 991, 3_922, 896),
+        (17_104, 4_280, 1_427, 1_010),
+    )
+
+    @pytest.mark.parametrize("counts", PROBE, ids=lambda c: str(c[0]))
+    def test_six_digits_match_the_oracle(self, counts):
+        t = build_table(*counts)
+        exact = exact_fisher_oracle(t)
+        expected = f"{Decimal(exact.numerator) / Decimal(exact.denominator):.6g}"
+        assert format_pvalue(report(t).p_fisher) == expected
+
+
 class TestCsvWriters:
     def test_output_header_and_line_endings(self):
         out = io.StringIO()
-        count = write_batch_csv(out, run_batch([("a", ["1000", "200", "250", "60"])]))
+        count, _ = write_batch_csv(out, run_batch([("a", ["1000", "200", "250", "60"])]), None)
         text = out.getvalue()
         assert count == 1
         assert "\r" not in text
@@ -172,7 +192,7 @@ class TestCsvWriters:
 
     def test_row_contents_round_numbers(self):
         out = io.StringIO()
-        write_batch_csv(out, run_batch([("a", ["1000", "200", "250", "60"])], k=3))
+        write_batch_csv(out, run_batch([("a", ["1000", "200", "250", "60"])], k=3), None)
         row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
         assert row["id"] == "a"
         assert row["j"] == "140"
@@ -186,20 +206,20 @@ class TestCsvWriters:
 
     def test_error_ceiling_prints_from_the_log(self):
         out = io.StringIO()
-        write_batch_csv(out, run_batch([("d", ["5000", "2500", "2500", "2400"])]))
+        write_batch_csv(out, run_batch([("d", ["5000", "2500", "2500", "2400"])]), None)
         row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
         assert row["err_bound"] == "1.39671e-1147"
 
     def test_error_ceiling_without_a_tail_prints_zero(self):
         out = io.StringIO()
-        write_batch_csv(out, run_batch([("z", ["1000", "200", "250", "60"])], k=141))
+        write_batch_csv(out, run_batch([("z", ["1000", "200", "250", "60"])], k=141), None)
         row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
         assert row["err_bound"] == "0"
         assert row["ubk"] == row["p_fisher"]
 
     def test_clamped_column_flags_any_clamped_bound(self):
         out = io.StringIO()
-        write_batch_csv(out, run_batch([("c", ["1000", "500", "500", "251"])]))
+        write_batch_csv(out, run_batch([("c", ["1000", "500", "500", "251"])]), None)
         row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
         assert row["ub1"] == "1"
         assert row["clamped"] == "1"
@@ -207,7 +227,7 @@ class TestCsvWriters:
     def test_missing_exact_column_is_empty(self):
         out = io.StringIO()
         write_batch_csv(
-            out, run_batch([("a", ["1000", "200", "250", "60"])], include_exact=False)
+            out, run_batch([("a", ["1000", "200", "250", "60"])], include_exact=False), None
         )
         row = dict(zip(OUTPUT_HEADER, out.getvalue().splitlines()[1].split(",")))
         assert row["p_fisher"] == ""
@@ -220,17 +240,18 @@ class TestCsvWriters:
                 ("bad", ["10", "4", "7", "9"]),
             ]
         )
-        out = io.StringIO()
-        count = write_rejects_csv(out, results)
-        lines = out.getvalue().splitlines()
-        assert count == 1
+        out, rejects = io.StringIO(), io.StringIO()
+        written, by_reason = write_batch_csv(out, results, rejects)
+        lines = rejects.getvalue().splitlines()
+        assert (written, by_reason) == (1, {REASON_MARGIN: 1})
         assert lines[0] == ",".join(REJECT_HEADER)
         assert lines[1].startswith("bad,MARGIN_VIOLATION,")
+        assert len(lines) == 2
 
     def test_input_header_constant_matches_the_reader(self, tmp_path):
         path = tmp_path / "roundtrip.csv"
         path.write_text(",".join(INPUT_HEADER) + "\nz,10,4,7,3\n", encoding="utf-8")
-        assert read_table_csv(str(path)) == [("z", ["10", "4", "7", "3"])]
+        assert list(read_table_csv(str(path))) == [("z", ["10", "4", "7", "3"])]
 
 
 class TestLargeTables:
@@ -272,3 +293,74 @@ class TestLargeTables:
             f"e306,{REASON_OUT_OF_RANGE},{detail}",
             f"e400,{REASON_OUT_OF_RANGE},{detail}",
         ]
+
+
+class TestSinglePass:
+    def test_writer_takes_one_result_at_a_time(self):
+        out, rejects = io.StringIO(), io.StringIO()
+        rows = [
+            ("a", ["1000", "200", "250", "60"]),
+            ("bad", ["10", "4", "7", "9"]),
+            ("b", ["1000", "200", "250", "63"]),
+        ]
+
+        def results():
+            previous = None
+            for item in run_batch(rows):
+                if previous is not None:
+                    seen = out.getvalue() + rejects.getvalue()
+                    assert f"\n{previous}," in seen, "the writer read ahead"
+                previous = item.row_id
+                yield item
+
+        written, by_reason = write_batch_csv(out, results(), rejects)
+        assert (written, by_reason) == (2, {REASON_MARGIN: 1})
+
+    def test_k_is_checked_before_any_row_is_read(self):
+        def rows():
+            raise AssertionError("a row was read")
+            yield
+
+        with pytest.raises(InvalidK):
+            run_batch(rows(), k=0)
+
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            (None, []),
+            ("n,mx,ma,mxa\n10,4,7,3\n", []),
+            ("id,n,mx,ma,mxa\nx,10,4,7,9\ny,10,0,7,0\n", ["--k", "0"]),
+        ],
+        ids=["missing-input", "foreign-header", "k-zero"],
+    )
+    def test_refused_runs_leave_no_output_files(self, tmp_path, capsys, text, args):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        out, rejects = tmp_path / "out.csv", tmp_path / "rejects.csv"
+        code = main(["batch", str(path), "--out", str(out), "--rejects", str(rejects), *args])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+        assert not rejects.exists()
+
+
+class TestMalformedLines:
+    def _run(self, tmp_path, data: bytes):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"id,n,mx,ma,mxa\n" + data + b"ok,1000,200,250,60\n")
+        out, rejects = tmp_path / "out.csv", tmp_path / "rejects.csv"
+        assert main(["batch", str(path), "--out", str(out), "--rejects", str(rejects)]) == EXIT_OK
+        evaluated = [r.row_id for r in rows_from_batch_csv(str(out))]
+        return evaluated, rejects.read_text(encoding="utf-8").splitlines()[1:]
+
+    def test_field_over_the_csv_size_limit_rejects_only_its_line(self, tmp_path):
+        long_field = b"9" * 200_000
+        evaluated, rejected = self._run(tmp_path, b"huge,1000," + long_field + b",250,60\n")
+        assert evaluated == ["ok"]
+        assert rejected == [f"line2,{REASON_BAD_ROW},expected four integer counts"]
+
+    def test_byte_that_is_not_utf8_rejects_only_its_line(self, tmp_path):
+        evaluated, rejected = self._run(tmp_path, b"latin,1000,2\xff0,250,60\n")
+        assert evaluated == ["ok"]
+        assert rejected == [f"latin,{REASON_BAD_ROW},expected four integer counts"]

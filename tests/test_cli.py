@@ -89,7 +89,15 @@ class TestEval:
         assert main(["eval", "100", "50", "50", "20"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "smallest admissible mxa is 26;" in err
         assert "--negate tests the opposite direction" in err
+
+    def test_hint_for_a_huge_table_stays_in_integers(self, capsys):
+        n = 10**400
+        assert main(["eval", str(n), str(n // 2), str(n // 2), "1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: no positive dependency at mxa=1;")
+        assert f"smallest admissible mxa is {n // 4 + 1};" in err
 
     def test_margin_violation_exits_two(self, capsys):
         assert main(["eval", "10", "4", "7", "5"]) == EXIT_DATA

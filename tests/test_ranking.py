@@ -121,7 +121,7 @@ def records():
         (f"r{i}", [str(t.n), str(t.mx), str(t.ma), str(t.mxa)])
         for i, t in enumerate(tables)
     ]
-    return run_batch(rows)
+    return list(run_batch(rows))
 
 
 class TestOnEvaluatedTables:
@@ -145,7 +145,7 @@ class TestOnEvaluatedTables:
         strict = [rec for rec in records if rec.report.ub1.raw_log < 0.0]
         assert len(strict) >= 40
         out = io.StringIO()
-        write_batch_csv(out, strict)
+        write_batch_csv(out, strict, None)
         path = tmp_path / "batch.csv"
         path.write_text(out.getvalue(), encoding="utf-8")
         from_csv = rows_from_batch_csv(str(path))
@@ -165,7 +165,7 @@ class TestOnEvaluatedTables:
         clamped = [rec for rec in records if rec.report.ub1.clamped]
         assert clamped
         out = io.StringIO()
-        write_batch_csv(out, clamped)
+        write_batch_csv(out, clamped, None)
         line = out.getvalue().splitlines()[1]
         row = dict(zip(OUTPUT_HEADER, line.split(",")))
         assert row["ub1"] == "1"
@@ -184,6 +184,7 @@ class TestRowsFromBatchCsv:
         write_batch_csv(
             out,
             run_batch([("a", ["1000", "200", "250", "60"])], include_exact=False),
+            None,
         )
         path = tmp_path / "noexact.csv"
         path.write_text(out.getvalue(), encoding="utf-8")
