@@ -11,7 +11,6 @@ function of batch input.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -59,22 +58,6 @@ class BatchRecord:
     row_id: str
     report: ApproxReport
 
-    @property
-    def rank_keys(self) -> dict[str, float]:
-        """Log-space ordering keys, finite even when linear values underflow."""
-        r = self.report
-        keys = {
-            "ub1": r.ub1.raw_log,
-            "ub2": r.ub2.raw_log,
-            "ubk": r.ub_k.raw_log,
-            "chi2_p": math.log(r.chi2.p_one_sided)
-            if r.chi2.p_one_sided > 0.0
-            else -math.inf,
-        }
-        if r.p_fisher is not None:
-            keys["p_fisher"] = r.p_fisher.raw_log
-        return keys
-
 
 @dataclass(frozen=True, slots=True)
 class Reject:
@@ -87,37 +70,39 @@ def read_table_csv(path: str) -> Iterator[tuple[str, list[str]]]:
     """Rows of an id,n,mx,ma,mxa file as (id, remaining fields) pairs, lazily.
 
     The file is opened and its mandatory header checked at the call; the
-    rows are read as they are consumed.  Blank lines are skipped; a line
-    the csv module cannot split comes with no fields, and bytes that are
-    not UTF-8 read as U+FFFD, so run_batch rejects such a line like any
-    other malformed one.  Rows without an id get one from their line number.
+    rows are read as they are consumed.  Each physical line is parsed on
+    its own, so a stray quote cannot swallow the lines after it.  Lines
+    whose fields are all blank are skipped; a line the csv module cannot
+    split (an unbalanced quote, a field over its size limit) comes with
+    no fields, and bytes that are not UTF-8 read as U+FFFD, so run_batch
+    rejects such a line like any other malformed one.  Rows without an
+    id get one from their line number.
     """
     rows = _read_rows(path)
     next(rows)  # runs to the header check; the file closes with the generator
     return rows
 
 
+def _split_line(line: str) -> list[str] | None:
+    """Fields of one line, or None when the csv module cannot split it."""
+    try:
+        return next(csv.reader((line,), strict=True), [])
+    except csv.Error:
+        return None
+
+
 def _read_rows(path: str):
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error:
-            header = None
+        header = _split_line(fh.readline())
         if header is None or tuple(h.strip().lower() for h in header) != INPUT_HEADER:
             raise ValueError(f"expected header {','.join(INPUT_HEADER)!r} in {path}")
         yield None
-        for line_no in itertools.count(2):
-            try:
-                row = next(reader)
-            except StopIteration:
-                return
-            except csv.Error:  # e.g. a field over the csv module's size limit
+        for line_no, line in enumerate(fh, 2):
+            row = _split_line(line)
+            if row is None:
                 yield f"line{line_no}", []
-                continue
-            if not row or all(not f.strip() for f in row):
-                continue
-            yield row[0].strip() or f"line{line_no}", [f.strip() for f in row[1:]]
+            elif any(f.strip() for f in row):
+                yield row[0].strip() or f"line{line_no}", [f.strip() for f in row[1:]]
 
 
 def _evaluate(
@@ -141,7 +126,7 @@ def _evaluate(
         return Reject(row_id, REASON_MARGIN, str(exc))
     if negate:
         t = negate_consequent(t)
-    if t.delta_counts <= 0:
+    if not t.positive_dependency:
         return Reject(
             row_id,
             REASON_NONPOSITIVE,

@@ -20,9 +20,7 @@ from .exact import exact_fisher, make_term_engine
 __all__ = [
     "DEFAULT_SIZES",
     "DEFAULT_REPETITIONS",
-    "MEASURE_NAMES",
     "BenchResult",
-    "benchmark_shape",
     "large_scale_terms",
     "run_bench",
     "bounds_flat_within",
@@ -92,7 +90,7 @@ def run_bench(
 
 def bounds_flat_within(results: Sequence[BenchResult], factor: float = 2.0) -> bool:
     """True when every bound's per-call time varies at most by factor."""
-    for name in ("ub1", "ub2", "ub3"):
+    for name in MEASURE_NAMES[1:]:  # the bounds, after "exact"
         times = [r.seconds_per_call[name] for r in results]
         if max(times) > factor * min(times):
             return False

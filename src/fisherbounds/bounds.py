@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .chi2 import Chi2Result, chi2_one_sided
-from .contingency import ContingencyTable, DerivedStats, derive_stats
-from .errors import InvalidK, NegativeDependency, OutOfRange
+from .contingency import ContingencyTable, DerivedStats, _require_positive, derive_stats
+from .errors import InvalidK, OutOfRange
 from .exact import PValue, TermEngine, _log_tail_factor, _walk, make_term_engine
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ub2",
     "ub_k",
     "error_bound_ub2",
-    "error_bound_ub_k",
     "guarantees",
     "report",
 ]
@@ -40,13 +39,6 @@ __all__ = [
 def _require_k(k: int) -> None:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
-
-
-def _require_positive(engine: TermEngine, what: str) -> None:
-    if not engine.positive_dependency:
-        raise NegativeDependency(
-            f"{what} needs a positive dependency; negate the consequent first"
-        )
 
 
 def ub1(engine: TermEngine) -> PValue:
@@ -58,8 +50,8 @@ def ub1(engine: TermEngine) -> PValue:
     therefore gets multiplier exactly 1.0 and ub1 = p_0 = p_F, and the
     multiplier r reproduces the odds ratio through odds = r / (r - 1).
     """
-    _require_positive(engine, "ub1")
     t = engine.table
+    _require_positive(t, "ub1")
     multiplier = (t.mxa * t.mnxna) / t.delta_counts
     return PValue.from_log(engine.log_p0 + math.log(multiplier), 1)
 
@@ -73,7 +65,7 @@ def ub_k(engine: TermEngine, k: int) -> PValue:
     computed terms.
     """
     _require_k(k)
-    _require_positive(engine, "ub_k")
+    _require_positive(engine.table, "ub_k")
     return _walk(engine, k, False)[2]
 
 
@@ -85,21 +77,14 @@ def ub2(engine: TermEngine) -> PValue:
     return ub_k(engine, 1)
 
 
-def error_bound_ub_k(engine: TermEngine, k: int) -> float:
-    """Ceiling on ub_k - p_F: p_0 q_k^2 / (1 - q_k), or 0 once no tail is left.
-
-    Scaled by p_0 even though the approximated tail begins only at term
-    k - 1, which keeps the ceiling loose.  report carries its log, which
-    stays finite where this linear value underflows.
-    """
-    _require_k(k)
-    _require_positive(engine, "error_bound_ub_k")
-    return math.exp(engine.log_p0 + _log_tail_factor(engine, k - 1)) if k <= engine.j else 0.0
-
-
 def error_bound_ub2(engine: TermEngine) -> float:
-    """Ceiling on ub2 - p_F: p_0 q_1^2 / (1 - q_1)."""
-    return error_bound_ub_k(engine, 1)
+    """Ceiling on ub2 - p_F: p_0 q_1^2 / (1 - q_1), or 0 when J = 0.
+
+    report carries its log, which stays finite where this linear value
+    underflows.
+    """
+    _require_positive(engine.table, "error_bound_ub2")
+    return math.exp(engine.log_p0 + _log_tail_factor(engine, 0)) if engine.j else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +121,9 @@ class ApproxReport:
     equal bit for bit to the full O(J) sum, and None when skipped; all
     other fields are constant-time.  log_error_bound and
     log_error_bound_ub2 are the logs of the error ceilings of ub_k and
-    ub2, -inf once no tail is left.
+    ub2, -inf once no tail is left.  The ceiling on ub_k - p_F is
+    p_0 q_k^2 / (1 - q_k), scaled by p_0 although the approximated tail
+    begins only at term k - 1, which keeps it loose.
     """
 
     table: ContingencyTable
@@ -167,7 +154,7 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
         engine = make_term_engine(t)
     except OverflowError:  # lgamma from n of about 2.5e305, derive_stats from 1.8e308
         raise OutOfRange("counts too large for double-precision arithmetic") from None
-    _require_positive(engine, "report")
+    _require_positive(t, "report")
     _require_k(k)
     flags = guarantees(stats)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)

@@ -28,6 +28,7 @@ from .batch import (
 from .bench import (
     DEFAULT_REPETITIONS,
     DEFAULT_SIZES,
+    MEASURE_NAMES,
     bounds_flat_within,
     exact_grows,
     large_scale_terms,
@@ -141,7 +142,7 @@ def _cmd_eval(args) -> int:
     t = build_table(args.n, args.mx, args.ma, args.mxa)
     if args.negate:
         t = negate_consequent(t)
-    if t.delta_counts <= 0:
+    if not t.positive_dependency:
         raise NegativeDependency(
             f"no positive dependency at mxa={t.mxa}; {_smallest_admissible(t)};"
             " --negate tests the opposite direction"
@@ -264,14 +265,11 @@ def _cmd_bench(args) -> int:
     if not results:
         return EXIT_OK
     header = f"{'n':>10} {'j':>8} {'terms':>8}" + "".join(
-        f" {name:>12}" for name in ("exact", "ub1", "ub2", "ub3")
+        f" {name:>12}" for name in MEASURE_NAMES
     )
     print(header)
     for r in results:
-        cells = "".join(
-            f" {r.seconds_per_call[name]:>12.3e}"
-            for name in ("exact", "ub1", "ub2", "ub3")
-        )
+        cells = "".join(f" {r.seconds_per_call[name]:>12.3e}" for name in MEASURE_NAMES)
         print(f"{r.n:>10} {r.j:>8} {r.terms:>8}{cells}")
     print(f"exact terms for the n=1000000 benchmark shape: {large_scale_terms()}")
     if len(results) < 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMargin, MarginViolation
+from .errors import DegenerateMargin, MarginViolation, NegativeDependency
 
 __all__ = [
     "ContingencyTable",
@@ -83,6 +83,12 @@ class ContingencyTable:
         return self.n * self.mxa - self.mx * self.ma
 
     @property
+    def positive_dependency(self) -> bool:
+        """Exact integer sign test of the leverage; every bound and the
+        exact tail need it."""
+        return self.delta_counts > 0
+
+    @property
     def j(self) -> int:
         """Number of tables more extreme than the observed one: min(mxna, mnxa)."""
         return self.mxna if self.mxna < self.mnxa else self.mnxa
@@ -111,11 +117,6 @@ class DerivedStats:
     @property
     def min_expected(self) -> float:
         return min(self.expected)
-
-    @property
-    def positive_dependency(self) -> bool:
-        """Exact integer sign test of the leverage."""
-        return self.table.delta_counts > 0
 
 
 def build_table(n: int, mx: int, ma: int, mxa: int) -> ContingencyTable:
@@ -151,6 +152,13 @@ def derive_stats(t: ContingencyTable) -> DerivedStats:
         j=t.j,
         expected=expected,
     )
+
+
+def _require_positive(t: ContingencyTable, what: str) -> None:
+    if not t.positive_dependency:
+        raise NegativeDependency(
+            f"{what} needs a positive dependency; negate the consequent first"
+        )
 
 
 def _smallest_admissible(t: ContingencyTable) -> str:

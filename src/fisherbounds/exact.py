@@ -27,19 +27,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contingency import ContingencyTable
-from .errors import CapacityExceeded, NegativeDependency, OutOfRange
+from .contingency import ContingencyTable, _require_positive
+from .errors import CapacityExceeded
 
 __all__ = [
     "PValue",
     "TermEngine",
-    "log_factorial",
-    "log_binomial",
     "make_term_engine",
     "exact_fisher",
     "exact_fisher_certified",
     "exact_fisher_oracle",
-    "ORACLE_CAP",
 ]
 
 
@@ -82,17 +79,6 @@ class TermEngine:
     log_pabs: float
     j: int
 
-    @property
-    def positive_dependency(self) -> bool:
-        return self.table.delta_counts > 0
-
-    def ratio(self, i: int) -> float:
-        """q_i as a single division of two exact integer products."""
-        if not 1 <= i <= self.j:
-            raise OutOfRange(f"i={i} outside 1..{self.j}")
-        a, b = self._ratio_parts(i - 1)
-        return a / b
-
     def _ratio_parts(self, l: int) -> tuple[int, int]:
         """Numerator and denominator of q_{l+1} as exact integers."""
         t = self.table
@@ -106,34 +92,15 @@ class TermEngine:
             yield ((mxna - i + 1) * (mnxa - i + 1)) / ((mxa + i) * (mnxna + i))
 
 
-def log_factorial(i: int) -> float:
-    """ln i! as math.lgamma(i + 1)."""
-    if i < 0:
-        raise OutOfRange(f"i={i} is negative")
-    try:
-        return math.lgamma(i + 1)
-    except OverflowError:
-        raise OutOfRange(f"ln {i}! overflows a double") from None
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) as ln n! - (ln k! + ln (n - k)!).
-
-    The subtrahends are added before subtracting, which makes the
-    result exactly symmetric in k and n - k and exactly 0.0 at the edges.
-    """
-    if not 0 <= k <= n:
-        raise OutOfRange(f"need 0 <= k <= n, got n={n}, k={k}")
-    return log_factorial(n) - (log_factorial(k) + log_factorial(n - k))
-
-
 def make_term_engine(t: ContingencyTable) -> TermEngine:
     """Build the engine for a table from math.lgamma log-factorials.
 
-    The arithmetic is log_binomial's, written out straight-line because
-    engine builds dominate a screen of many small tables: log_pabs is
-    -log_binomial(n, ma) and log_p0 adds log_binomial(mx, mxa) and
-    log_binomial(n - mx, mnxna) to it, bit for bit.
+    Each ln C(m, k) is ln m! - (ln k! + ln (m - k)!), the subtrahends
+    added before subtracting, which makes it exactly symmetric in k and
+    m - k and exactly 0.0 at the edges: log_pabs is -ln C(n, ma), and
+    log_p0 adds ln C(mx, mxa) and ln C(n - mx, mnxna) to it.  Written
+    out straight-line because engine builds dominate a screen of many
+    small tables.
     """
     lg = math.lgamma
     n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa
@@ -155,10 +122,7 @@ def exact_fisher(engine: TermEngine) -> PValue:
     The linear value underflows to 0.0 for extreme tables while raw_log
     stays finite, so ranking by significance keeps working.
     """
-    if not engine.positive_dependency:
-        raise NegativeDependency(
-            "exact_fisher needs a positive dependency; negate the consequent first"
-        )
+    _require_positive(engine.table, "exact_fisher")
     total, comp, prod = 1.0, 0.0, 1.0
     for q in engine.ratios():
         prod *= q
@@ -297,11 +261,7 @@ def exact_fisher_certified(engine: TermEngine) -> PValue:
     raw_log equals exact_fisher's bit for bit (the proof is in _walk);
     terms_evaluated counts the terms actually summed.
     """
-    if not engine.positive_dependency:
-        raise NegativeDependency(
-            "exact_fisher_certified needs a positive dependency;"
-            " negate the consequent first"
-        )
+    _require_positive(engine.table, "exact_fisher_certified")
     return _walk(engine, 1, True)[4]
 
 

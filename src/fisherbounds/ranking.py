@@ -14,17 +14,15 @@ import math
 import statistics
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .batch import OUTPUT_HEADER, BatchRecord
+from .batch import OUTPUT_HEADER
 
 __all__ = [
     "MEASURES",
     "RankedRow",
-    "rows_from_records",
     "rows_from_batch_csv",
     "ranking",
-    "top_ids",
     "PairAgreement",
     "AgreementReport",
     "rank_agreement",
@@ -39,10 +37,6 @@ class RankedRow:
 
     row_id: str
     keys: dict[str, float]
-
-
-def rows_from_records(records: Iterable[BatchRecord]) -> list[RankedRow]:
-    return [RankedRow(rec.row_id, rec.rank_keys) for rec in records]
 
 
 def _log10_key(field: str) -> float:
@@ -91,10 +85,6 @@ def ranking(rows: Sequence[RankedRow], measure: str) -> list[str]:
     except KeyError:
         raise ValueError(f"measure {measure!r} not present in every row") from None
     return [row_id for _, row_id in keyed]
-
-
-def top_ids(rows: Sequence[RankedRow], measure: str, k: int) -> tuple[str, ...]:
-    return tuple(ranking(rows, measure)[:k])
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,18 +25,13 @@ from .bounds import report
 from .contingency import build_table
 
 __all__ = [
-    "REF_COLUMNS",
     "RefRow",
     "ROWS",
-    "Annotation",
-    "ANNOTATIONS",
     "CellCheck",
     "STATUS_PASS",
     "STATUS_ANNOTATED",
     "STATUS_FAIL",
-    "plain_tolerance",
     "check_rows",
-    "rows_for_case",
 ]
 
 REF_COLUMNS = ("p_fisher", "ub1", "ub2", "ub3", "chi2_p")
@@ -159,15 +154,11 @@ ANNOTATIONS: dict[tuple[int, int, int, int, str], Annotation] = {
 }
 
 
-def plain_tolerance_for(recorded: float) -> float:
-    """Half a unit in the last recorded decimal place for tail values."""
-    return 5e-5 if recorded >= 0.01 else 5e-6
-
-
 def plain_tolerance(column: str, recorded: float) -> float:
+    """Half a unit in the last recorded decimal place for tail values."""
     if column == "chi2_p":
         return 1e-3
-    return plain_tolerance_for(recorded)
+    return 5e-5 if recorded >= 0.01 else 5e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +227,3 @@ def check_rows(
                     CellCheck(row, column, value, recorded, STATUS_FAIL, note)
                 )
     return checks
-
-
-def rows_for_case(case: int) -> tuple[RefRow, ...]:
-    return tuple(r for r in ROWS if r.case == case)

@@ -50,7 +50,7 @@ class SweepSpec:
                 )
         lo = build_table(self.n, self.mx, self.ma, self.mxa_lo)
         build_table(self.n, self.mx, self.ma, self.mxa_hi)
-        if lo.delta_counts <= 0:
+        if not lo.positive_dependency:
             raise NegativeDependency(
                 f"mxa={self.mxa_lo} gives no positive dependency for"
                 f" n={self.n}, mx={self.mx}, ma={self.ma}; {_smallest_admissible(lo)}"

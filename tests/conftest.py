@@ -9,10 +9,11 @@ the run.
 
 from __future__ import annotations
 
+import io
 import random
 from typing import Iterator
 
-from fisherbounds import ContingencyTable, build_table
+from fisherbounds import ContingencyTable, build_table, rows_from_batch_csv, write_batch_csv
 
 CORPUS_SEED = 1729
 STRONG_SEED = 777
@@ -58,6 +59,14 @@ def random_positive_tables(
             continue
         tables.append(build_table(n, mx, ma, mxa))
     return tables
+
+
+def read_back(results, path) -> list:
+    """Ranking rows of evaluated results, read back from their batch output."""
+    out = io.StringIO()
+    write_batch_csv(out, results, None)
+    path.write_text(out.getvalue(), encoding="utf-8")
+    return rows_from_batch_csv(str(path))
 
 
 def sample_strong_tables(count: int, seed: int) -> list[ContingencyTable]:

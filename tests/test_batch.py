@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+import random
 import time
 from decimal import Decimal
 
@@ -35,6 +37,8 @@ from fisherbounds.batch import (
     REASON_OUT_OF_RANGE,
 )
 from fisherbounds.cli import EXIT_DATA, EXIT_OK, main
+
+from conftest import read_back
 
 
 def _write(tmp_path, text):
@@ -114,25 +118,26 @@ class TestRunBatch:
         assert isinstance(result, Reject)
         assert result.reason == REASON_NONPOSITIVE
 
-    def test_skipping_exact_drops_the_ranking_key(self):
-        (with_exact,) = run_batch([("r", ["1000", "200", "250", "60"])])
-        (without,) = run_batch(
-            [("r", ["1000", "200", "250", "60"])], include_exact=False
-        )
-        assert "p_fisher" in with_exact.rank_keys
-        assert "p_fisher" not in without.rank_keys
+    def test_skipping_exact_drops_the_ranking_key(self, tmp_path):
+        row = [("r", ["1000", "200", "250", "60"])]
+        (with_exact,) = read_back(run_batch(row), tmp_path / "out.csv")
+        assert "p_fisher" in with_exact.keys
+        (without,) = run_batch(row, include_exact=False)
         assert without.report.p_fisher is None
+        with pytest.raises(ValueError, match="without --no-exact"):
+            read_back([without], tmp_path / "out.csv")
 
-    def test_rank_keys_stay_finite_in_deep_tails(self):
-        (rec,) = run_batch([("r", ["5000", "2500", "2500", "2400"])])
-        keys = rec.rank_keys
-        assert keys["p_fisher"] < -1000.0
-        assert math.isfinite(keys["ub1"])
+    def test_rank_keys_stay_finite_in_deep_tails(self, tmp_path):
+        rows = run_batch([("r", ["5000", "2500", "2500", "2400"])])
+        (row,) = read_back(rows, tmp_path / "out.csv")
+        assert row.keys["p_fisher"] < -1000.0
+        assert math.isfinite(row.keys["ub1"])
 
-    def test_rank_key_for_a_vanished_chi2_tail(self):
+    def test_rank_key_for_a_vanished_chi2_tail(self, tmp_path):
         (rec,) = run_batch([("r", ["10000", "100", "100", "100"])])
         assert rec.report.chi2.p_one_sided == 0.0
-        assert rec.rank_keys["chi2_p"] == -math.inf
+        (row,) = read_back([rec], tmp_path / "out.csv")
+        assert row.keys["chi2_p"] == -math.inf
 
 
 class TestFormatting:
@@ -364,3 +369,77 @@ class TestMalformedLines:
         evaluated, rejected = self._run(tmp_path, b"latin,1000,2\xff0,250,60\n")
         assert evaluated == ["ok"]
         assert rejected == [f"latin,{REASON_BAD_ROW},expected four integer counts"]
+
+    def test_unbalanced_quote_rejects_only_its_line(self, tmp_path):
+        evaluated, rejected = self._run(
+            tmp_path,
+            b'a,1000,200,250,60\nb,"1000,200,250,60\nc,1000,200,250,63\nd,10,4,7,3\n',
+        )
+        assert evaluated == ["a", "c", "d", "ok"]
+        assert rejected == [f"line3,{REASON_BAD_ROW},expected four integer counts"]
+
+
+class TestBatchInvariant:
+    """Every line after the header yields one output row or one reject, in
+    input order, and the run exits 0, on seeded random byte streams of
+    valid rows, stray quotes, bytes that are not UTF-8, fields over the
+    csv size limit, huge counts, NUL bytes and blank lines."""
+
+    @staticmethod
+    def _line(rng: random.Random, i: int) -> bytes:
+        if rng.random() < 0.15:  # every field empty or whitespace
+            return rng.choice([b"", b"   ", b",,,,", b" ,\t, ,"])
+        n = rng.randint(5, 3000)
+        mx, ma = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        mxa = rng.randint(max(0, mx + ma - n), min(mx, ma))
+        fields = [str(c).encode() for c in (n, mx, ma, mxa)]
+        if rng.random() < 0.1:
+            e = rng.choice([306, 400, 4400])  # 4400 digits exceed int()'s limit
+            fields = [b"1" + b"0" * e, b"1" + b"0" * (e - 1), b"1" + b"0" * (e - 1), b"5" + b"0" * (e - 2)]
+        if rng.random() < 0.1:
+            fields[rng.randrange(4)] = b"9" * rng.randint(131_000, 140_000)
+        if rng.random() < 0.1:
+            del fields[rng.randrange(4)]
+        tail = bytearray(b",".join(fields))
+        for noise, share in ((b'"', 0.25), (b"\x00", 0.1), (None, 0.15)):
+            while rng.random() < share:
+                if noise is None:
+                    noise = bytes(rng.randint(0x80, 0xFF) for _ in range(rng.randint(1, 3)))
+                pos = rng.randint(0, len(tail))
+                tail[pos:pos] = noise
+        return f"r{i},".encode() + bytes(tail)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_line_lands_in_exactly_one_stream_in_order(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "in.csv"
+        path.write_bytes(
+            b"id,n,mx,ma,mxa\n"
+            + b"".join(
+                self._line(rng, i) + rng.choice([b"\n", b"\r\n", b"\r"]) for i in range(30)
+            )
+        )
+        out, rejects = tmp_path / "out.csv", tmp_path / "rejects.csv"
+        assert main(["batch", str(path), "--out", str(out), "--rejects", str(rejects)]) == EXIT_OK
+
+        # split lines as the reader does; a row keeps its id, or gets its
+        # line number when the csv module cannot split it
+        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+            lines = list(fh)[1:]
+        expected = [
+            {line.split(",", 1)[0], f"line{line_no}"}
+            for line_no, line in enumerate(lines, 2)
+            if line.strip(" \t\r\n,")
+        ]
+        streams = []
+        for written in (out, rejects):
+            with open(written, newline="", encoding="utf-8") as fh:
+                streams.append([row[0] for row in csv.reader(fh)][1:])
+        evaluated, rejected = streams
+        for ids in expected:
+            if evaluated and evaluated[0] in ids:
+                evaluated.pop(0)
+            else:
+                assert rejected and rejected[0] in ids, (ids, evaluated[:1], rejected[:1])
+                rejected.pop(0)
+        assert evaluated == rejected == []

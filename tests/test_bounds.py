@@ -7,6 +7,7 @@ cannot round.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from fisherbounds import (
     chi2_one_sided,
     derive_stats,
     error_bound_ub2,
-    error_bound_ub_k,
     exact_fisher,
     guarantees,
     make_term_engine,
@@ -85,16 +85,22 @@ def _err_k(t, k: int) -> Fraction:
     return _p0(t) * q * q / (1 - q)
 
 
+def _error_bound_ub_k(t, k: int) -> float:
+    """The ceiling on ub_k - p_F as report carries it, in linear space."""
+    return math.exp(report(t, k=k, include_exact=False).log_error_bound)
+
+
 def _error_bound_ub_k_tail(engine, k: int) -> float:
-    """error_bound_ub_k scaled by the term the tail starts from, not by p_0.
+    """The ceiling on ub_k - p_F scaled by the term the tail starts from,
+    not by p_0.
 
     Tighter than the published form whenever k > 1; a reference point.
     """
     if k > engine.j:
         return 0.0
     log_scale = engine.log_p0
-    for i in range(1, k):
-        log_scale += math.log(engine.ratio(i))
+    for q in itertools.islice(engine.ratios(), k - 1):
+        log_scale += math.log(q)
     return math.exp(log_scale + _log_tail_factor(engine, k - 1))
 
 
@@ -124,7 +130,7 @@ def _two_pass_ub_k(engine, k: int) -> float:
     total, comp, prod = _kahan_partial(engine, min(tail_from, j + 1))
     if tail_from <= j:
         if tail_from > 0:
-            prod *= engine.ratio(tail_from)
+            prod *= next(itertools.islice(engine.ratios(), tail_from - 1, None))
         t = engine.table
         a = (t.mxna - tail_from) * (t.mnxa - tail_from)
         b = (t.mxa + tail_from + 1) * (t.mnxna + tail_from + 1)
@@ -238,18 +244,17 @@ class TestUbK:
 class TestErrorBounds:
     def test_matches_rational_form(self):
         for t in SMALL_POSITIVE[::7]:
-            engine = make_term_engine(t)
             for k in range(1, t.j + 2):
                 expected = _err_k(t, k)
-                value = error_bound_ub_k(engine, k)
+                value = _error_bound_ub_k(t, k)
                 if expected == 0:
                     assert value == 0.0
                 else:
                     assert value == pytest.approx(float(expected), rel=1e-12)
 
     def test_ub2_alias(self):
-        engine = make_term_engine(build_table(1000, 200, 250, 60))
-        assert error_bound_ub2(engine) == error_bound_ub_k(engine, 1)
+        for t in [build_table(1000, 200, 250, 60), build_table(10, 4, 7, 4)]:
+            assert error_bound_ub2(make_term_engine(t)) == _error_bound_ub_k(t, 1)
 
     def test_actual_error_within_bound_rationally(self):
         # exact rational comparison: no float slack anywhere
@@ -264,7 +269,7 @@ class TestErrorBounds:
             engine = make_term_engine(t)
             pf = _p_fisher(t)
             for k in range(2, t.j + 1):
-                loose = error_bound_ub_k(engine, k)
+                loose = _error_bound_ub_k(t, k)
                 tight = _error_bound_ub_k_tail(engine, k)
                 assert tight <= loose * (1 + 1e-12)
                 prod = Fraction(1)
@@ -275,9 +280,8 @@ class TestErrorBounds:
                 assert _ub_k(t, k) - pf <= rational_tight
 
     def test_rejects_bad_k(self):
-        engine = make_term_engine(build_table(100, 30, 40, 20))
         with pytest.raises(InvalidK):
-            error_bound_ub_k(engine, 0)
+            report(build_table(100, 30, 40, 20), k=0)
 
 
 class TestGuarantees:
@@ -335,7 +339,7 @@ class TestReport:
         assert rep.ub1.raw_log == ub1(engine).raw_log
         assert rep.ub2.raw_log == ub2(engine).raw_log
         assert rep.ub_k.raw_log == ub_k(engine, 3).raw_log
-        assert math.exp(rep.log_error_bound) == error_bound_ub_k(engine, 3)
+        assert rep.log_error_bound == engine.log_p0 + _log_tail_factor(engine, 2)
         assert math.exp(rep.log_error_bound_ub2) == error_bound_ub2(engine)
         assert rep.p_fisher is not None
         assert rep.p_fisher.raw_log == exact_fisher(engine).raw_log
@@ -357,7 +361,7 @@ class TestReport:
         t = build_table(5000, 2500, 2500, 2400)
         engine = make_term_engine(t)
         rep = report(t, k=3)
-        assert error_bound_ub_k(engine, 3) == 0.0
+        assert math.exp(rep.log_error_bound) == 0.0
         assert rep.log_error_bound == engine.log_p0 + _log_tail_factor(engine, 2)
         assert rep.log_error_bound_ub2 == engine.log_p0 + _log_tail_factor(engine, 0)
         assert -3000.0 < rep.log_error_bound < rep.log_error_bound_ub2 < -2000.0

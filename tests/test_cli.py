@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fisherbounds
 from fisherbounds import OUTPUT_HEADER, REJECT_HEADER, __version__
 from fisherbounds.cli import EXIT_DATA, EXIT_OK, EXIT_REPRODUCTION, EXIT_USAGE, main
 
@@ -290,8 +292,11 @@ class TestTopLevel:
         assert main(["frobnicate"]) == EXIT_USAGE
 
     def test_module_execution(self):
+        # the child finds the package where this process did, installed or not
+        src = os.path.dirname(os.path.dirname(fisherbounds.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "fisherbounds", "--version"],
+            env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
         )

@@ -122,8 +122,8 @@ class TestDerivedStats:
 
     def test_positive_dependency_flag_matches_delta_sign(self):
         for t in iter_exhaustive(max_n=12):
-            s = derive_stats(t)
-            assert s.positive_dependency == (t.delta_counts > 0)
+            assert t.positive_dependency == (t.delta_counts > 0)
+            assert t.positive_dependency == (derive_stats(t).leverage > 0)
 
 
 class TestNegation:

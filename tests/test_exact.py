@@ -11,7 +11,6 @@ import pytest
 from fisherbounds import (
     CapacityExceeded,
     NegativeDependency,
-    OutOfRange,
     PValue,
     build_table,
     exact_fisher,
@@ -89,25 +88,21 @@ class TestTermEngine:
     def test_ratio_matches_rational(self):
         t = build_table(100, 30, 40, 20)
         engine = make_term_engine(t)
-        for i in range(1, engine.j + 1):
+        qs = list(engine.ratios())
+        assert len(qs) == engine.j
+        for i, q in enumerate(qs, 1):
             expected = Fraction(
                 (t.mxna - i + 1) * (t.mnxa - i + 1), (t.mxa + i) * (t.mnxna + i)
             )
-            assert engine.ratio(i) == pytest.approx(float(expected), rel=1e-15)
+            assert q == pytest.approx(float(expected), rel=1e-15)
 
     def test_ratios_generator_equals_indexed_access(self):
+        # the hot generator inlines _ratio_parts, which the geometric tails use
         t = build_table(80, 25, 30, 15)
         engine = make_term_engine(t)
         assert list(engine.ratios()) == [
-            engine.ratio(i) for i in range(1, engine.j + 1)
+            a / b for a, b in map(engine._ratio_parts, range(engine.j))
         ]
-
-    def test_ratio_index_bounds(self):
-        engine = make_term_engine(build_table(100, 30, 40, 20))
-        with pytest.raises(OutOfRange):
-            engine.ratio(0)
-        with pytest.raises(OutOfRange):
-            engine.ratio(engine.j + 1)
 
     def test_ratios_strictly_decreasing(self):
         for t in iter_exhaustive(max_n=25, positive_only=True):
@@ -196,7 +191,7 @@ class TestExactFisherCertified:
         mxa, mnxna, m = 2**31 - 1, 2**32 - 1, 32
         t = build_table(mxa + mnxna + 2 * m, mxa + m, mxa + m, mxa)
         engine = make_term_engine(t)
-        assert engine.ratio(1) == 2.0**-53
+        assert next(engine.ratios()) == 2.0**-53
         pv = exact_fisher_certified(engine)
         assert pv.raw_log == exact_fisher(engine).raw_log
         assert pv.terms_evaluated == 21
@@ -210,7 +205,7 @@ class TestExactFisherCertified:
         mxna = m * m // 2 - 4
         t = build_table(2 * m + mxna + 2, m + mxna, m + 2, m)
         engine = make_term_engine(t)
-        assert 0.0 <= 1.0 - engine.ratio(1) <= 2.0**-52
+        assert 0.0 <= 1.0 - next(engine.ratios()) <= 2.0**-52
         pv = exact_fisher_certified(engine)
         assert pv.raw_log == exact_fisher(engine).raw_log
         assert pv.terms_evaluated == engine.j + 1 == 3

@@ -1,4 +1,8 @@
-"""Log-factorials and log binomials on math.lgamma: accuracy, symmetry, range."""
+"""The term engine's math.lgamma log-factorials: accuracy, symmetry, range.
+
+make_term_engine writes each ln C(m, k) out as ln m! - (ln k! + ln (m - k)!);
+these tests check its log_pabs = -ln C(n, ma) and log_p0 against math.comb.
+"""
 
 from __future__ import annotations
 
@@ -7,82 +11,80 @@ import random
 
 import pytest
 
-from fisherbounds import (
-    OutOfRange,
-    build_table,
-    log_binomial,
-    log_factorial,
-    make_term_engine,
-)
+from fisherbounds import OutOfRange, build_table, make_term_engine, negate_consequent, report
+
+
+def _log_p0(n: int, mx: int, ma: int, mxa: int) -> float:
+    """ln p_0 from exact integer binomials; math.log rounds each big int once."""
+    return (
+        math.log(math.comb(mx, mxa))
+        + math.log(math.comb(n - mx, ma - mxa))
+        - math.log(math.comb(n, ma))
+    )
 
 
 class TestValues:
     def test_base_cases(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-        assert log_factorial(2) == pytest.approx(math.log(2), rel=1e-15)
+        # the smallest table: p_0 = C(1, 1) C(1, 0) / C(2, 1) = 1/2
+        engine = make_term_engine(build_table(2, 1, 1, 1))
+        assert engine.log_pabs == pytest.approx(-math.log(2), rel=1e-15)
+        assert engine.log_p0 == pytest.approx(-math.log(2), rel=1e-15)
 
     def test_matches_exact_integer_factorials(self):
-        for i in (2, 5, 20, 50, 100, 170, 171, 250, 300):
-            exact = math.log(math.factorial(i))
-            assert log_factorial(i) == pytest.approx(exact, rel=1e-14)
-
-    def test_monotone_nondecreasing(self):
-        values = [log_factorial(i) for i in range(501)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        # sizes around 170, where n! leaves the double range; the
+        # difference of log-factorials keeps their absolute error
+        for n in (2, 5, 20, 50, 100, 170, 171, 250, 300):
+            tolerance = 1e-14 * math.log(math.factorial(n))
+            for ma in (1, n // 3, n // 2, n - 1):
+                if not 0 < ma < n:
+                    continue
+                engine = make_term_engine(build_table(n, 1, ma, 1))
+                exact = -math.log(math.comb(n, ma))
+                assert engine.log_pabs == pytest.approx(exact, abs=tolerance)
 
     def test_index_out_of_range(self):
+        # ln n! passes the largest double near n = 2.6e305
+        t = build_table(10**306, 10**305, 10**305, 10**304)
+        with pytest.raises(OverflowError):
+            make_term_engine(t)
         with pytest.raises(OutOfRange):
-            log_factorial(-1)
-        # ln i! passes the largest double near i = 2.6e305
-        with pytest.raises(OutOfRange):
-            log_factorial(10**306)
-
-    def test_negative_size_rejected(self):
-        # math.lgamma(0) would raise its own pole error for i = -1; the
-        # range check must come first, for every negative i
-        for i in (-1, -2, -(10**400)):
-            with pytest.raises(OutOfRange):
-                log_factorial(i)
+            report(t)
 
 
 class TestLogBinomial:
     def test_matches_exact_integer_binomials(self):
-        for n in (1, 2, 17, 100, 333, 500):
-            for k in range(0, n + 1, max(1, n // 7)):
-                exact = math.log(math.comb(n, k))
-                assert log_binomial(n, k) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        for n in (3, 17, 100, 333, 500):
+            step = max(1, n // 7)
+            for mx in range(1, n, step):
+                for ma in range(1, n, step):
+                    for mxa in range(max(0, mx + ma - n), min(mx, ma) + 1, step):
+                        engine = make_term_engine(build_table(n, mx, ma, mxa))
+                        exact = _log_p0(n, mx, ma, mxa)
+                        assert engine.log_p0 == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_symmetry_is_exact(self):
+        # negation maps ma to n - ma, and ln C(n, ma) is exactly symmetric
         for n in (7, 50, 333, 400):
-            for k in range(n + 1):
-                assert log_binomial(n, k) == log_binomial(n, n - k)
+            for ma in range(1, n):
+                t = build_table(n, 1, ma, 1)
+                assert make_term_engine(t).log_pabs == make_term_engine(negate_consequent(t)).log_pabs
 
     def test_edges_are_exactly_zero(self):
-        for n in range(51):
-            assert log_binomial(n, 0) == 0.0
-            assert log_binomial(n, n) == 0.0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(OutOfRange):
-            log_binomial(5, 6)
-        with pytest.raises(OutOfRange):
-            log_binomial(5, -1)
-        with pytest.raises(OutOfRange):
-            log_binomial(10**306, 3)
+        # mxa = mx = ma puts both conditional binomials at their edges,
+        # C(mx, mx) and C(n - mx, n - mx), which must add exactly 0.0
+        for n in range(2, 51):
+            for m in range(1, n):
+                engine = make_term_engine(build_table(n, m, m, m))
+                assert engine.log_p0 == engine.log_pabs
 
     def test_term_engine_inlines_the_same_arithmetic(self):
         rng = random.Random(11)
-        for _ in range(500):
-            n = rng.randint(4, 10**7)
+        for _ in range(300):
+            n = rng.randint(4, 5000)
             mx = rng.randint(1, n - 1)
             ma = rng.randint(1, n - 1)
             mxa = rng.randint(max(0, mx + ma - n), min(mx, ma))
-            t = build_table(n, mx, ma, mxa)
-            engine = make_term_engine(t)
-            log_pabs = -log_binomial(n, ma)
-            log_p0 = (
-                log_binomial(mx, mxa) + log_binomial(n - mx, n - mx - ma + mxa)
-            ) + log_pabs
-            assert engine.log_pabs == log_pabs
-            assert engine.log_p0 == log_p0
+            engine = make_term_engine(build_table(n, mx, ma, mxa))
+            scale = math.log(math.comb(n, ma))
+            assert engine.log_pabs == pytest.approx(-scale, rel=1e-12)
+            assert engine.log_p0 == pytest.approx(_log_p0(n, mx, ma, mxa), abs=1e-12 * scale)

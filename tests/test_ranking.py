@@ -14,14 +14,12 @@ from fisherbounds import (
     rank_agreement,
     ranking,
     rows_from_batch_csv,
-    rows_from_records,
     run_batch,
-    top_ids,
     write_batch_csv,
 )
 from fisherbounds.ranking import _log10_key, _spearman
 
-from conftest import random_positive_tables
+from conftest import random_positive_tables, read_back
 
 
 def _rows(*pairs):
@@ -60,11 +58,6 @@ class TestRanking:
     def test_missing_measure_is_an_error(self):
         with pytest.raises(ValueError, match="not present in every row"):
             ranking(_rows(("a", -1.0)), "other")
-
-    def test_top_ids_is_a_prefix(self):
-        rows = _rows(("a", -3.0), ("b", -9.0), ("c", -5.0))
-        assert top_ids(rows, "m", 2) == ("b", "c")
-        assert top_ids(rows, "m", 10) == ("b", "c", "a")
 
 
 class TestSpearman:
@@ -124,16 +117,34 @@ def records():
     return list(run_batch(rows))
 
 
+def _log_keys(rec) -> dict[str, float]:
+    """Natural-log ordering keys straight from a report."""
+    r = rec.report
+    chi = r.chi2.p_one_sided
+    return {
+        "p_fisher": r.p_fisher.raw_log,
+        "ub1": r.ub1.raw_log,
+        "ub2": r.ub2.raw_log,
+        "ubk": r.ub_k.raw_log,
+        "chi2_p": math.log(chi) if chi > 0.0 else -math.inf,
+    }
+
+
+@pytest.fixture(scope="module")
+def batch_rows(records, tmp_path_factory):
+    return read_back(records, tmp_path_factory.mktemp("ranking") / "batch.csv")
+
+
 class TestOnEvaluatedTables:
-    def test_bounds_preserve_the_exact_top_twenty(self, records):
-        rep = rank_agreement(rows_from_records(records), 20)
+    def test_bounds_preserve_the_exact_top_twenty(self, batch_rows):
+        rep = rank_agreement(batch_rows, 20)
         for bound in ("ub1", "ub2", "ubk"):
             pair = rep.pair("p_fisher", bound)
             assert pair.top_overlap == 1.0
             assert pair.spearman > 0.995
 
-    def test_normal_tail_agrees_less_than_the_bounds_do(self, records):
-        rep = rank_agreement(rows_from_records(records), 20)
+    def test_normal_tail_agrees_less_than_the_bounds_do(self, batch_rows):
+        rep = rank_agreement(batch_rows, 20)
         chi = rep.pair("p_fisher", "chi2_p")
         assert chi.top_overlap <= 0.9
         for bound in ("ub1", "ub2", "ubk"):
@@ -144,12 +155,8 @@ class TestOnEvaluatedTables:
         # bounds stay below 1 round-trip losslessly
         strict = [rec for rec in records if rec.report.ub1.raw_log < 0.0]
         assert len(strict) >= 40
-        out = io.StringIO()
-        write_batch_csv(out, strict, None)
-        path = tmp_path / "batch.csv"
-        path.write_text(out.getvalue(), encoding="utf-8")
-        from_csv = rows_from_batch_csv(str(path))
-        direct = rows_from_records(strict)
+        from_csv = read_back(strict, tmp_path / "batch.csv")
+        direct = [RankedRow(rec.row_id, _log_keys(rec)) for rec in strict]
         assert [r.row_id for r in from_csv] == [r.row_id for r in direct]
         ln10 = math.log(10.0)
         for a, b in zip(from_csv, direct):
@@ -169,7 +176,7 @@ class TestOnEvaluatedTables:
         line = out.getvalue().splitlines()[1]
         row = dict(zip(OUTPUT_HEADER, line.split(",")))
         assert row["ub1"] == "1"
-        assert clamped[0].rank_keys["ub1"] > 0.0
+        assert clamped[0].report.ub1.raw_log > 0.0
 
 
 class TestRowsFromBatchCsv:
