@@ -192,7 +192,7 @@ def _output_row(rec: BatchRecord) -> list[str]:
         str(t.mx),
         str(t.ma),
         str(t.mxa),
-        str(s.j),
+        str(t.j),
         format_float(s.lift),
         format_float(s.leverage),
         format_float(s.odds_ratio),

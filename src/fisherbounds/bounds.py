@@ -53,7 +53,7 @@ def ub1(engine: TermEngine) -> PValue:
     t = engine.table
     _require_positive(t, "ub1")
     multiplier = (t.mxa * t.mnxna) / t.delta_counts
-    return PValue.from_log(engine.log_p0 + math.log(multiplier), 1)
+    return PValue(engine.log_p0 + math.log(multiplier), 1)
 
 
 def ub_k(engine: TermEngine, k: int) -> PValue:
@@ -169,6 +169,6 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
         log_error_bound_ub2=log_err_ub2,
         guarantee_ub1=flags.ub1_within_p0,
         guarantee_ub2=flags.ub2_within_p0,
-        chi2=chi2_one_sided(t, stats),
+        chi2=chi2_one_sided(t),
         p_fisher=p_fisher,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .contingency import ContingencyTable, DerivedStats
+from .contingency import ContingencyTable
 
 __all__ = ["Chi2Result", "chi2_one_sided", "normal_upper_tail"]
 
@@ -41,12 +41,14 @@ def normal_upper_tail(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def chi2_one_sided(t: ContingencyTable, s: DerivedStats) -> Chi2Result:
+def chi2_one_sided(t: ContingencyTable) -> Chi2Result:
     """Signed-root chi-square p-value of a table.
 
     The sign comes from the integer leverage numerator, and the >= 5
     rule compares integer cell products against 5n, so neither decision
-    depends on float rounding.
+    depends on float rounding.  min_expected divides the smallest of
+    those products by n once, so it equals the smallest of the four
+    expected counts each rounded on its own.
     """
     d = t.delta_counts
     numerator = t.n * d * d
@@ -64,6 +66,6 @@ def chi2_one_sided(t: ContingencyTable, s: DerivedStats) -> Chi2Result:
     return Chi2Result(
         statistic=statistic,
         p_one_sided=normal_upper_tail(z),
-        min_expected=s.min_expected,
+        min_expected=smallest_product / t.n,
         rule_of_thumb_ok=smallest_product >= 5 * t.n,
     )

@@ -154,8 +154,8 @@ def _cmd_eval(args) -> int:
         ("mx", str(t.mx)),
         ("ma", str(t.ma)),
         ("mxa", str(t.mxa)),
-        ("j", str(s.j)),
-        ("terms", str(s.j + 1)),
+        ("j", str(t.j)),
+        ("terms", str(t.j + 1)),
         ("lift", format_float(s.lift)),
         ("leverage", format_float(s.leverage)),
         ("odds", format_float(s.odds_ratio)),

@@ -91,32 +91,23 @@ class ContingencyTable:
     @property
     def j(self) -> int:
         """Number of tables more extreme than the observed one: min(mxna, mnxa)."""
-        return self.mxna if self.mxna < self.mnxa else self.mnxa
+        return (self.mx if self.mx < self.ma else self.ma) - self.mxa
 
 
 @dataclass(frozen=True, slots=True)
 class DerivedStats:
-    """Relative frequencies and dependency measures of a table.
+    """Dependency measures of a table.
 
     lift is P(XA) / (P(X) P(A)) and leverage is P(XA) - P(X) P(A); a lift
     above 1 (leverage above 0) marks a positive dependency.  odds_ratio
-    is +inf when an off-diagonal cell is empty.  expected holds the four
-    counts n P(X) P(A), n P(X) P(not A), n P(not X) P(A) and
-    n P(not X) P(not A) predicted under independence.
+    is +inf when an off-diagonal cell is empty.  The counts, the cells
+    and J stay on table.
     """
 
     table: ContingencyTable
-    x: float
-    a: float
     lift: float
     leverage: float
     odds_ratio: float
-    j: int
-    expected: tuple[float, float, float, float]
-
-    @property
-    def min_expected(self) -> float:
-        return min(self.expected)
 
 
 def build_table(n: int, mx: int, ma: int, mxa: int) -> ContingencyTable:
@@ -128,7 +119,7 @@ def build_table(n: int, mx: int, ma: int, mxa: int) -> ContingencyTable:
 
 
 def derive_stats(t: ContingencyTable) -> DerivedStats:
-    """Populate every derived quantity of a table.
+    """Compute the dependency measures of a table.
 
     Ratios are taken as single float divisions of exact integer
     products, so each value carries one rounding step.
@@ -136,21 +127,11 @@ def derive_stats(t: ContingencyTable) -> DerivedStats:
     n = t.n
     off_diagonal = t.mxna * t.mnxa
     odds = (t.mxa * t.mnxna) / off_diagonal if off_diagonal else math.inf
-    expected = (
-        t.mx * t.ma / n,
-        t.mx * (n - t.ma) / n,
-        (n - t.mx) * t.ma / n,
-        (n - t.mx) * (n - t.ma) / n,
-    )
     return DerivedStats(
         table=t,
-        x=t.mx / n,
-        a=t.ma / n,
         lift=(n * t.mxa) / (t.mx * t.ma),
         leverage=t.delta_counts / (n * n),
         odds_ratio=odds,
-        j=t.j,
-        expected=expected,
     )
 
 

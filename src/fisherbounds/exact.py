@@ -47,22 +47,25 @@ class PValue:
     raw_log is the log of the value as computed, before any clamping,
     and is the authoritative ranking key: it stays finite and ordered
     when the linear value underflows to 0.0, and it keeps the original
-    magnitude when an upper bound exceeded 1 and was clamped.  After
-    clamping log_value <= 0, linear_value = exp(log_value), and
-    clamped implies linear_value == 1.0.
+    magnitude when an upper bound exceeded 1.  The three views clamp
+    such a bound to 1, so log_value <= 0, linear_value =
+    exp(log_value), and clamped implies linear_value == 1.0.
     """
 
     raw_log: float
-    log_value: float
-    linear_value: float
-    clamped: bool
     terms_evaluated: int
 
-    @classmethod
-    def from_log(cls, raw_log: float, terms_evaluated: int) -> "PValue":
-        if raw_log > 0.0:
-            return cls(raw_log, 0.0, 1.0, True, terms_evaluated)
-        return cls(raw_log, raw_log, math.exp(raw_log), False, terms_evaluated)
+    @property
+    def clamped(self) -> bool:
+        return self.raw_log > 0.0
+
+    @property
+    def log_value(self) -> float:
+        return 0.0 if self.raw_log > 0.0 else self.raw_log
+
+    @property
+    def linear_value(self) -> float:
+        return 1.0 if self.raw_log > 0.0 else math.exp(self.raw_log)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,16 +107,14 @@ def make_term_engine(t: ContingencyTable) -> TermEngine:
     """
     lg = math.lgamma
     n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa
-    mxna = mx - mxa
-    mnxa = ma - mxa
-    mnxna = n - mx - ma + mxa
+    mxna, mnxa, mnxna = t.mxna, t.mnxa, t.mnxna
     log_pabs = -(lg(n + 1) - (lg(ma + 1) + lg(n - ma + 1)))
     log_p0 = (
         (lg(mx + 1) - (lg(mxa + 1) + lg(mxna + 1)))
         + (lg(n - mx + 1) - (lg(mnxna + 1) + lg(mnxa + 1)))
         + log_pabs
     )
-    return TermEngine(t, log_p0, log_pabs, mxna if mxna < mnxa else mnxa)
+    return TermEngine(t, log_p0, log_pabs, t.j)
 
 
 def exact_fisher(engine: TermEngine) -> PValue:
@@ -130,12 +131,16 @@ def exact_fisher(engine: TermEngine) -> PValue:
         t = total + y
         comp = (t - total) - y
         total = t
-    return PValue.from_log(engine.log_p0 + math.log(total), engine.j + 1)
+    return PValue(engine.log_p0 + math.log(total), engine.j + 1)
 
 
 def _log_tail_factor(engine: TermEngine, l: int) -> float:
     """ln(q^2 / (1 - q)) for q = q_{l+1}, from exact integer products."""
-    a, b = engine._ratio_parts(l)
+    return _log_factor(*engine._ratio_parts(l))
+
+
+def _log_factor(a: int, b: int) -> float:
+    """ln(q^2 / (1 - q)) for q = a / b."""
     return 2.0 * math.log(a) - math.log(b) - math.log(b - a)
 
 
@@ -153,7 +158,7 @@ def _tail(engine: TermEngine, l: int, total: float, comp: float, prod: float):
         geometric = 1.0
     else:
         geometric = -math.expm1((engine.j - l + 1) * math.log1p(-d)) / d
-    log_ceiling = engine.log_p0 + _log_tail_factor(engine, l) if a else -math.inf
+    log_ceiling = engine.log_p0 + _log_factor(a, b) if a else -math.inf
     return engine.log_p0 + math.log(total + (prod * geometric - comp)), log_ceiling
 
 
@@ -232,7 +237,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
             if g > remaining:
                 g = remaining
             if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
-                p_fisher = PValue.from_log(engine.log_p0 + math.log(total), j + 1 - remaining)
+                p_fisher = PValue(engine.log_p0 + math.log(total), j + 1 - remaining)
                 if remaining < tail_left:
                     break
                 exact = False
@@ -248,11 +253,11 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         remaining -= 1
     else:
         if exact:
-            p_fisher = PValue.from_log(engine.log_p0 + math.log(total), j + 1)
+            p_fisher = PValue(engine.log_p0 + math.log(total), j + 1)
         if tail_left < 1:
             log_ubk, log_err_ubk = engine.log_p0 + math.log(total), -math.inf
-    ub_k = PValue.from_log(log_ubk, min(k, j + 1))
-    return PValue.from_log(log_ub2, 1), log_err_ub2, ub_k, log_err_ubk, p_fisher
+    ub_k = PValue(log_ubk, min(k, j + 1))
+    return PValue(log_ub2, 1), log_err_ub2, ub_k, log_err_ubk, p_fisher
 
 
 def exact_fisher_certified(engine: TermEngine) -> PValue:

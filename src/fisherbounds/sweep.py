@@ -91,7 +91,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
                 lift=s.lift,
                 leverage=s.leverage,
                 odds_ratio=s.odds_ratio,
-                terms=s.j + 1,
+                terms=t.j + 1,
                 p_fisher=rep.p_fisher,
                 ub1=rep.ub1,
                 ub2=rep.ub2,

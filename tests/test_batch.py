@@ -146,11 +146,11 @@ class TestFormatting:
         assert format_float(50.0) == "50"
 
     def test_small_but_representable_values_print_directly(self):
-        pv = PValue.from_log(math.log(0.25), 1)
+        pv = PValue(math.log(0.25), 1)
         assert format_pvalue(pv) == "0.25"
 
     def test_underflowed_values_are_synthesized_from_the_log(self):
-        pv = PValue.from_log(-800.0, 1)
+        pv = PValue(-800.0, 1)
         assert pv.linear_value == 0.0
         text = format_pvalue(pv)
         mantissa, _, exponent = text.partition("e")
@@ -160,11 +160,11 @@ class TestFormatting:
         )
 
     def test_mantissa_rollover_lands_on_the_next_decade(self):
-        pv = PValue.from_log(-750.0 * math.log(10.0) - 1e-11, 1)
+        pv = PValue(-750.0 * math.log(10.0) - 1e-11, 1)
         assert format_pvalue(pv) == "1e-750"
 
     def test_zero_stays_zero(self):
-        pv = PValue.from_log(-math.inf, 0)
+        pv = PValue(-math.inf, 0)
         assert format_pvalue(pv) == "0"
 
 

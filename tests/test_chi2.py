@@ -10,16 +10,16 @@ import pytest
 from fisherbounds import (
     build_table,
     chi2_one_sided,
-    derive_stats,
     exact_fisher,
     make_term_engine,
     normal_upper_tail,
 )
 
+from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
+
 
 def _chi2(config):
-    t = build_table(*config)
-    return chi2_one_sided(t, derive_stats(t))
+    return chi2_one_sided(build_table(*config))
 
 
 class TestNormalUpperTail:
@@ -87,6 +87,20 @@ class TestChi2OneSided:
         assert r.min_expected == 50.0
         assert not _chi2((1000, 20, 30, 5)).rule_of_thumb_ok
 
+    def test_min_expected_is_the_smallest_rounded_expected_count(self):
+        # one division of the smallest product equals the smallest of the
+        # four expected counts n P(X) P(A), ... each rounded on its own
+        tables = list(iter_exhaustive(max_n=30))
+        tables += random_positive_tables(500, 10**12, CORPUS_SEED)
+        for t in tables:
+            expected = (
+                t.mx * t.ma / t.n,
+                t.mx * (t.n - t.ma) / t.n,
+                (t.n - t.mx) * t.ma / t.n,
+                (t.n - t.mx) * (t.n - t.ma) / t.n,
+            )
+            assert chi2_one_sided(t).min_expected == min(expected)
+
     def test_approximation_gap_shrinks_on_balanced_margins(self):
         # same nominal p-value scale, very different margin balance
         balanced = build_table(10000, 5000, 5000, 2578)
@@ -94,6 +108,6 @@ class TestChi2OneSided:
         gaps = []
         for t in (balanced, skewed):
             pf = exact_fisher(make_term_engine(t)).linear_value
-            chi = chi2_one_sided(t, derive_stats(t)).p_one_sided
+            chi = chi2_one_sided(t).p_one_sided
             gaps.append(abs(chi - pf))
         assert gaps[0] < gaps[1] / 10.0

@@ -41,14 +41,14 @@ def _rel_error(pv: PValue, fr: Fraction) -> float:
 
 class TestPValue:
     def test_from_log_regular(self):
-        pv = PValue.from_log(math.log(0.25), 3)
+        pv = PValue(math.log(0.25), 3)
         assert pv.linear_value == pytest.approx(0.25, rel=1e-15)
         assert pv.log_value == pv.raw_log
         assert not pv.clamped
         assert pv.terms_evaluated == 3
 
     def test_from_log_clamps_above_one(self):
-        pv = PValue.from_log(0.7, 1)
+        pv = PValue(0.7, 1)
         assert pv.raw_log == 0.7
         assert pv.log_value == 0.0
         assert pv.linear_value == 1.0
