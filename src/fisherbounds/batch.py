@@ -202,7 +202,7 @@ def _output_row(rec: BatchRecord) -> list[str]:
         format_pvalue(r.ub_k),
         str(r.k_used),
         _format_log(r.log_error_bound),
-        format_float(r.chi2.p_one_sided),
+        _format_log(r.chi2.log_p),
         format_float(r.chi2.min_expected),
         str(int(r.guarantee_ub1)),
         str(int(r.guarantee_ub2)),

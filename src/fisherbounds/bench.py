@@ -2,13 +2,16 @@
 
 The configurations share one shape: balanced margins at half the data
 size and an overlap of 0.6 times the margin, which drives J to n/5.
-Timing uses a monotonic clock through timeit (garbage collection off),
-calibrates an inner loop so each sample spans at least half a
-millisecond, and reports the fastest, least disturbed of several samples.
+Timing runs through timeit (garbage collection off) on the process's
+CPU-time clock, so time the process spends waiting for a CPU is not
+counted.  It calibrates an inner loop so each sample spans at least half
+a millisecond, takes the samples round-robin over sizes and measures,
+and reports the fastest, least disturbed of each pair's samples.
 """
 
 from __future__ import annotations
 
+import time
 import timeit
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -57,35 +60,50 @@ class BenchResult:
     seconds_per_call: dict[str, float]
 
 
-def _measure(fn: Callable[[], object], repetitions: int) -> float:
-    timer = timeit.Timer(fn)
+def _measures(engine) -> tuple[Callable[[], object], ...]:
+    """The timed calls on one engine, in MEASURE_NAMES order."""
+    return (
+        lambda: exact_fisher(engine),
+        lambda: ub1(engine),
+        lambda: ub2(engine),
+        lambda: ub_k(engine, 3),
+    )
+
+
+def _calibrated(fn: Callable[[], object]) -> tuple[timeit.Timer, int]:
+    """A timer for fn and a loop count that makes one sample span at least
+    _MIN_SAMPLE_SECONDS."""
+    timer = timeit.Timer(fn, timer=time.process_time)
     number = 1
-    elapsed = timer.timeit(number)
-    while elapsed < _MIN_SAMPLE_SECONDS:
+    while timer.timeit(number) < _MIN_SAMPLE_SECONDS:
         number *= 4
-        elapsed = timer.timeit(number)
-    samples = [timer.timeit(number) / number for _ in range(repetitions)]
-    return min(samples)
+    return timer, number
 
 
 def run_bench(
     sizes: Sequence[int] = DEFAULT_SIZES,
     repetitions: int = DEFAULT_REPETITIONS,
 ) -> list[BenchResult]:
+    """CPU seconds per call of each measure at each size.
+
+    Every (size, measure) pair is calibrated first.  The samples then go
+    round-robin over all pairs, repetitions rounds of one sample each, so
+    a slow phase of the machine lands on every pair alike instead of on
+    one size, and each pair keeps its fastest sample.
+    """
     if repetitions <= 0:
         return []
-    results = []
-    for n in sizes:
-        t = benchmark_shape(n)
-        engine = make_term_engine(t)
-        measured = {
-            "exact": _measure(lambda: exact_fisher(engine), repetitions),
-            "ub1": _measure(lambda: ub1(engine), repetitions),
-            "ub2": _measure(lambda: ub2(engine), repetitions),
-            "ub3": _measure(lambda: ub_k(engine, 3), repetitions),
-        }
-        results.append(BenchResult(t.n, t.j, t.j + 1, measured))
-    return results
+    tables = [benchmark_shape(n) for n in sizes]
+    calibrated = [[_calibrated(fn) for fn in _measures(make_term_engine(t))] for t in tables]
+    samples = [[[] for _ in MEASURE_NAMES] for _ in tables]
+    for _ in range(repetitions):
+        for row, lists in zip(calibrated, samples):
+            for (timer, number), taken in zip(row, lists):
+                taken.append(timer.timeit(number) / number)
+    return [
+        BenchResult(t.n, t.j, t.j + 1, {name: min(s) for name, s in zip(MEASURE_NAMES, lists)})
+        for t, lists in zip(tables, samples)
+    ]
 
 
 def bounds_flat_within(results: Sequence[BenchResult], factor: float = 2.0) -> bool:

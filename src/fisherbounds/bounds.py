@@ -147,21 +147,27 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     exact._walk.  p_fisher stops once the rest cannot change the double
     result: a few dozen terms on strong tables, O(sqrt n) near
     independence, at most J + 1.  Counts too large for double-precision
-    arithmetic raise OutOfRange.
+    arithmetic, ub1's multiplier included, raise OutOfRange before any
+    sum starts.
     """
     try:
         stats = derive_stats(t)
         engine = make_term_engine(t)
-    except OverflowError:  # lgamma from n of about 2.5e305, derive_stats from 1.8e308
+        _require_positive(t, "report")
+        _require_k(k)
+        # before the walk, so a table whose bounds cannot be represented
+        # never starts an exact sum that may run to J terms
+        ub1_pv = ub1(engine)
+    except OverflowError:
+        # lgamma from n of about 2.5e305, derive_stats from 1.8e308, and
+        # ub1 once its multiplier mxa mnxna / (n mxa - mx ma) passes 1.8e308
         raise OutOfRange("counts too large for double-precision arithmetic") from None
-    _require_positive(t, "report")
-    _require_k(k)
     flags = guarantees(stats)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
     return ApproxReport(
         table=t,
         stats=stats,
-        ub1=ub1(engine),
+        ub1=ub1_pv,
         ub2=ub2_pv,
         ub_k=ubk_pv,
         k_used=k,

@@ -168,7 +168,7 @@ def _cmd_eval(args) -> int:
         (f"ub{rep.k_used}", format_pvalue(rep.ub_k)),
         ("err_bound_ub2", _format_log(rep.log_error_bound_ub2)),
         (f"err_bound_ub{rep.k_used}", _format_log(rep.log_error_bound)),
-        ("chi2_p", format_float(rep.chi2.p_one_sided)),
+        ("chi2_p", _format_log(rep.chi2.log_p)),
         ("chi2_stat", format_float(rep.chi2.statistic)),
         ("min_expected", format_float(rep.chi2.min_expected)),
         ("rule_of_thumb_ok", str(rep.chi2.rule_of_thumb_ok).lower()),

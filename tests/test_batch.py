@@ -137,7 +137,10 @@ class TestRunBatch:
         (rec,) = run_batch([("r", ["10000", "100", "100", "100"])])
         assert rec.report.chi2.p_one_sided == 0.0
         (row,) = read_back([rec], tmp_path / "out.csv")
-        assert row.keys["chi2_p"] == -math.inf
+        # printed from log_p, so the key stays finite and ordered
+        log10_p = rec.report.chi2.log_p / math.log(10.0)
+        assert row.keys["chi2_p"] == pytest.approx(log10_p, rel=1e-6)
+        assert row.keys["chi2_p"] < -2000.0
 
 
 class TestFormatting:
@@ -298,6 +301,32 @@ class TestLargeTables:
             f"e306,{REASON_OUT_OF_RANGE},{detail}",
             f"e400,{REASON_OUT_OF_RANGE},{detail}",
         ]
+
+    # a = d = k, b = k - 1, c = k + 1: a d - b c = 1, so ub1's multiplier
+    # a d / (a d - b c) is 1e320 while every count fits a double
+    _NEAR_INDEPENDENT = (4 * 10**160, 2 * 10**160 - 1, 2 * 10**160 + 1, 10**160)
+
+    @pytest.mark.parametrize("mode", [[], ["--no-exact"]])
+    def test_unrepresentable_ub1_is_a_reject_before_any_sum(self, tmp_path, mode):
+        counts = ",".join(map(str, self._NEAR_INDEPENDENT))
+        path = _write(tmp_path, f"id,n,mx,ma,mxa\nbig,{counts}\nafter,1000,200,250,60\n")
+        out = tmp_path / "out.csv"
+        rejects = tmp_path / "rejects.csv"
+        start = time.perf_counter()
+        args = ["batch", path, "--out", str(out), "--rejects", str(rejects), *mode]
+        assert main(args) == EXIT_OK
+        assert time.perf_counter() - start < 1.0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["after"]
+        assert rejects.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"big,{REASON_OUT_OF_RANGE},counts too large for double-precision arithmetic"
+        ]
+
+    def test_unrepresentable_ub1_fails_eval_with_the_reject_detail(self, capsys):
+        assert main(["eval", *map(str, self._NEAR_INDEPENDENT)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: counts too large for double-precision arithmetic\n"
 
 
 class TestSinglePass:

@@ -14,6 +14,7 @@ from fisherbounds import (
     make_term_engine,
     normal_upper_tail,
 )
+from fisherbounds.chi2 import _log_upper_tail
 
 from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
 
@@ -46,6 +47,37 @@ class TestNormalUpperTail:
     def test_strictly_decreasing(self):
         values = [normal_upper_tail(i / 4.0) for i in range(-32, 33)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+class TestLogUpperTail:
+    # 0.5 erfc(z / sqrt 2) leaves the normal doubles near z = 37.5 and
+    # underflows to 0.0 near z = 38.5
+    GRID = [i / 20.0 for i in range(-100, 1000)] + [50.0, 100.0, 1e3, 1e5, 1e150]
+
+    def test_matches_high_precision_log_tail_across_the_switch(self):
+        mpmath.mp.dps = 40
+        for z in self.GRID:
+            expected = float(mpmath.log(mpmath.ncdf(-mpmath.mpf(z))))
+            got = _log_upper_tail(z, normal_upper_tail(z))
+            assert got == pytest.approx(expected, rel=1e-14), z
+
+    def test_is_the_log_of_the_linear_tail_while_that_is_normal(self):
+        for z in self.GRID:
+            p = normal_upper_tail(z)
+            if p >= 2.0**-1022:
+                assert _log_upper_tail(z, p) == math.log(p)
+
+    def test_strictly_decreasing_through_the_switch(self):
+        values = [_log_upper_tail(z, normal_upper_tail(z)) for z in self.GRID]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_chi2_result_carries_the_log_of_a_vanished_tail(self):
+        r = _chi2((10000, 100, 100, 100))
+        assert r.p_one_sided == 0.0
+        assert r.log_p == _log_upper_tail(math.sqrt(r.statistic), 0.0)
+        assert -5006.0 < r.log_p < -5005.0
+        normal = _chi2((1000, 200, 250, 60))
+        assert normal.log_p == math.log(normal.p_one_sided)
 
 
 class TestChi2OneSided:

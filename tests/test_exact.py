@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -53,6 +54,24 @@ class TestPValue:
         assert pv.log_value == 0.0
         assert pv.linear_value == 1.0
         assert pv.clamped
+
+    @pytest.mark.parametrize(
+        "raw_log", [-math.inf, -800.0, -745.2, -0.0, 0.0, 5e-324, 0.7], ids=repr
+    )
+    def test_views_clamp_at_one_by_construction(self, raw_log):
+        pv = PValue(raw_log, 2)
+        assert (pv.raw_log, pv.terms_evaluated) == (raw_log, 2)
+        # the views a bound above 1 clamps to, bit for bit (-0.0 stays -0.0)
+        log_value = 0.0 if raw_log > 0.0 else raw_log
+        assert pv.log_value.hex() == log_value.hex()
+        assert pv.linear_value.hex() == math.exp(log_value).hex()
+        assert pv.clamped == (raw_log > 0.0)
+        assert pv.log_value <= 0.0
+        assert pv.linear_value == math.exp(pv.log_value)
+        assert not pv.clamped or pv.linear_value == 1.0
+
+    def test_stores_only_the_log_and_the_term_count(self):
+        assert [f.name for f in dataclasses.fields(PValue)] == ["raw_log", "terms_evaluated"]
 
     def test_deep_tail_keeps_log_information(self):
         t = build_table(5000, 2500, 2500, 2400)
