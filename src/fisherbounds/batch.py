@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .bounds import ApproxReport, _require_k, report
 from .contingency import build_table, negate_consequent
-from .errors import DegenerateMargin, MarginViolation, OutOfRange
+from .errors import DegenerateMargin, MarginViolation, NegativeDependency, OutOfRange
 
 __all__ = [
     "BatchRecord",
@@ -53,7 +53,7 @@ _LOG_DOUBLE_MAX = 709.782712893384  # ln of the largest double
 
 @dataclass(frozen=True, slots=True)
 class BatchRecord:
-    """One evaluated row: its input id, the evaluated table, and the report."""
+    """One evaluated row: its input id and its report, which holds the table."""
 
     row_id: str
     report: ApproxReport
@@ -126,14 +126,10 @@ def _evaluate(
         return Reject(row_id, REASON_MARGIN, str(exc))
     if negate:
         t = negate_consequent(t)
-    if not t.positive_dependency:
-        return Reject(
-            row_id,
-            REASON_NONPOSITIVE,
-            f"leverage numerator {t.delta_counts} is not positive",
-        )
     try:
         return BatchRecord(row_id, report(t, k=k, include_exact=include_exact))
+    except NegativeDependency as exc:
+        return Reject(row_id, REASON_NONPOSITIVE, str(exc))
     except OutOfRange as exc:
         return Reject(row_id, REASON_OUT_OF_RANGE, str(exc))
 

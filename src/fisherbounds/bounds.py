@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .chi2 import Chi2Result, chi2_one_sided
-from .contingency import ContingencyTable, DerivedStats, _require_positive, derive_stats
+from .contingency import ContingencyTable, DerivedStats, derive_stats
 from .errors import InvalidK, OutOfRange
 from .exact import PValue, TermEngine, _log_tail_factor, _walk, make_term_engine
 
@@ -51,7 +51,6 @@ def ub1(engine: TermEngine) -> PValue:
     multiplier r reproduces the odds ratio through odds = r / (r - 1).
     """
     t = engine.table
-    _require_positive(t, "ub1")
     multiplier = (t.mxa * t.mnxna) / t.delta_counts
     return PValue(engine.log_p0 + math.log(multiplier), 1)
 
@@ -65,7 +64,6 @@ def ub_k(engine: TermEngine, k: int) -> PValue:
     computed terms.
     """
     _require_k(k)
-    _require_positive(engine.table, "ub_k")
     return _walk(engine, k, False)[2]
 
 
@@ -83,7 +81,6 @@ def error_bound_ub2(engine: TermEngine) -> float:
     report carries its log, which stays finite where this linear value
     underflows.
     """
-    _require_positive(engine.table, "error_bound_ub2")
     return math.exp(engine.log_p0 + _log_tail_factor(engine, 0)) if engine.j else 0.0
 
 
@@ -146,21 +143,22 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     ub2, ub_k, both error ceilings and p_fisher come from one pass of
     exact._walk.  p_fisher stops once the rest cannot change the double
     result: a few dozen terms on strong tables, O(sqrt n) near
-    independence, at most J + 1.  Counts too large for double-precision
-    arithmetic, ub1's multiplier included, raise OutOfRange before any
-    sum starts.
+    independence, at most J + 1.  A table without positive dependency
+    raises NegativeDependency from make_term_engine, before anything
+    else.  Counts too large for double-precision arithmetic, ub1's
+    multiplier included, raise OutOfRange before any sum starts.
     """
     try:
-        stats = derive_stats(t)
         engine = make_term_engine(t)
-        _require_positive(t, "report")
+        stats = derive_stats(t)
         _require_k(k)
         # before the walk, so a table whose bounds cannot be represented
         # never starts an exact sum that may run to J terms
         ub1_pv = ub1(engine)
     except OverflowError:
-        # lgamma from n of about 2.5e305, derive_stats from 1.8e308, and
-        # ub1 once its multiplier mxa mnxna / (n mxa - mx ma) passes 1.8e308
+        # lgamma from n of about 2.5e305, derive_stats once the odds ratio
+        # passes 1.8e308 (n of about 1e155 and up), and ub1 once its
+        # multiplier mxa mnxna / (n mxa - mx ma) does
         raise OutOfRange("counts too large for double-precision arithmetic") from None
     flags = guarantees(stats)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMargin, MarginViolation, NegativeDependency
+from .errors import DegenerateMargin, MarginViolation
 
 __all__ = [
     "ContingencyTable",
@@ -85,7 +85,7 @@ class ContingencyTable:
     @property
     def positive_dependency(self) -> bool:
         """Exact integer sign test of the leverage; every bound and the
-        exact tail need it."""
+        exact tail need it, and make_term_engine refuses a table without it."""
         return self.delta_counts > 0
 
     @property
@@ -133,13 +133,6 @@ def derive_stats(t: ContingencyTable) -> DerivedStats:
         leverage=t.delta_counts / (n * n),
         odds_ratio=odds,
     )
-
-
-def _require_positive(t: ContingencyTable, what: str) -> None:
-    if not t.positive_dependency:
-        raise NegativeDependency(
-            f"{what} needs a positive dependency; negate the consequent first"
-        )
 
 
 def _smallest_admissible(t: ContingencyTable) -> str:

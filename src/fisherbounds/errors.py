@@ -19,7 +19,8 @@ class DegenerateMargin(ValueError):
 
 
 class OutOfRange(ValueError):
-    """An index fell outside a tabulated or permitted range."""
+    """Counts too large for double-precision arithmetic: a log-factorial,
+    the odds ratio or ub1's multiplier would overflow."""
 
 
 class CapacityExceeded(ValueError):
@@ -27,7 +28,9 @@ class CapacityExceeded(ValueError):
 
 
 class NegativeDependency(ValueError):
-    """The table shows no positive dependency, so the tail machinery does not apply."""
+    """The table shows no positive dependency, so the tail machinery does
+    not apply; make_term_engine raises it, and negating the consequent
+    tests the opposite direction."""
 
 
 class InvalidK(ValueError):

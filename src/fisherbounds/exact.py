@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contingency import ContingencyTable, _require_positive
-from .errors import CapacityExceeded
+from .contingency import ContingencyTable
+from .errors import CapacityExceeded, NegativeDependency
 
 __all__ = [
     "PValue",
@@ -70,16 +70,16 @@ class PValue:
 
 @dataclass(frozen=True, slots=True)
 class TermEngine:
-    """Per-table state of the term recurrence.
+    """Per-table state of the term recurrence of a positive dependency.
 
-    log_p0 is ln p_0 of the observed table, log_pabs is the margin-only
-    factor ln(ma! (n - ma)! / n!) shared by every term, and j counts the
-    ratio steps available beyond the observed table.
+    log_p0 is ln p_0 of the observed table and j counts the ratio steps
+    available beyond it.  make_term_engine builds one only for a table
+    with positive dependency, so every function that takes an engine
+    relies on that sign.
     """
 
     table: ContingencyTable
     log_p0: float
-    log_pabs: float
     j: int
 
     def _ratio_parts(self, l: int) -> tuple[int, int]:
@@ -98,13 +98,18 @@ class TermEngine:
 def make_term_engine(t: ContingencyTable) -> TermEngine:
     """Build the engine for a table from math.lgamma log-factorials.
 
-    Each ln C(m, k) is ln m! - (ln k! + ln (m - k)!), the subtrahends
-    added before subtracting, which makes it exactly symmetric in k and
-    m - k and exactly 0.0 at the edges: log_pabs is -ln C(n, ma), and
-    log_p0 adds ln C(mx, mxa) and ln C(n - mx, mnxna) to it.  Written
-    out straight-line because engine builds dominate a screen of many
-    small tables.
+    The one place the package refuses a table without positive
+    dependency: NegativeDependency, before any log-factorial; negate the
+    consequent to test the opposite direction.  Each ln C(m, k) is
+    ln m! - (ln k! + ln (m - k)!), the subtrahends added before
+    subtracting, which makes it exactly symmetric in k and m - k and
+    exactly 0.0 at the edges: log_p0 is ln C(mx, mxa) + ln C(n - mx,
+    mnxna) - ln C(n, ma), so the edge table (n, ma, ma, ma) has log_p0
+    = -ln C(n, ma) exactly.  Written out straight-line because engine
+    builds dominate a screen of many small tables.
     """
+    if not t.positive_dependency:
+        raise NegativeDependency(f"leverage numerator {t.delta_counts} is not positive")
     lg = math.lgamma
     n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa
     mxna, mnxa, mnxna = t.mxna, t.mnxa, t.mnxna
@@ -114,7 +119,7 @@ def make_term_engine(t: ContingencyTable) -> TermEngine:
         + (lg(n - mx + 1) - (lg(mnxna + 1) + lg(mnxa + 1)))
         + log_pabs
     )
-    return TermEngine(t, log_p0, log_pabs, t.j)
+    return TermEngine(t, log_p0, t.j)
 
 
 def exact_fisher(engine: TermEngine) -> PValue:
@@ -123,7 +128,6 @@ def exact_fisher(engine: TermEngine) -> PValue:
     The linear value underflows to 0.0 for extreme tables while raw_log
     stays finite, so ranking by significance keeps working.
     """
-    _require_positive(engine.table, "exact_fisher")
     total, comp, prod = 1.0, 0.0, 1.0
     for q in engine.ratios():
         prod *= q
@@ -266,7 +270,6 @@ def exact_fisher_certified(engine: TermEngine) -> PValue:
     raw_log equals exact_fisher's bit for bit (the proof is in _walk);
     terms_evaluated counts the terms actually summed.
     """
-    _require_positive(engine.table, "exact_fisher_certified")
     return _walk(engine, 1, True)[4]
 
 

@@ -99,7 +99,6 @@ class PairAgreement:
 class AgreementReport:
     top_k: int
     row_count: int
-    measures: tuple[str, ...]
     pairs: tuple[PairAgreement, ...]
 
     def pair(self, a: str, b: str) -> PairAgreement:
@@ -139,4 +138,4 @@ def rank_agreement(
                 / effective
             )
         pairs.append(PairAgreement(a, b, overlap, _spearman(orders[a], orders[b])))
-    return AgreementReport(top_k, len(rows), tuple(measures), tuple(pairs))
+    return AgreementReport(top_k, len(rows), tuple(pairs))

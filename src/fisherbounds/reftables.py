@@ -10,16 +10,17 @@ default per-cell tolerance is half a unit in the last recorded place.
 A handful of cells in the record are print artifacts rather than
 measurement disagreements: a value truncated instead of rounded, a
 value recorded at four decimals where five were due, a last digit off
-by one, and two outright misprints.  Those cells carry annotations with
-the corrected reading; a cell that fails its plain tolerance but
-matches its annotation reports ANNOTATED instead of FAIL.
+by one, and two outright misprints.  Each such cell carries an
+annotation with its corrected reading; a cell that fails its plain
+tolerance but lies within the plain tolerance of its corrected reading
+reports ANNOTATED instead of FAIL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .bounds import report
 from .contingency import build_table
@@ -85,71 +86,39 @@ ROWS: tuple[RefRow, ...] = (
     _row(3, 10000, 500, 2000, 128, 0.00106, 0.00114, 0.00112, 0.00108, 0.00070),
 )
 
-KIND_MISPRINT = "MISPRINT"
-KIND_PRINT_PRECISION = "PRINT_PRECISION"
-KIND_PRINT_TRUNCATION = "PRINT_TRUNCATION"
-KIND_LAST_DIGIT = "LAST_DIGIT"
-
 
 @dataclass(frozen=True, slots=True)
 class Annotation:
-    """A known print artifact in one reference cell.
+    """A known print artifact in one reference cell: the corrected
+    reading and why.  A computed value that misses the recorded reading
+    is accepted when it lies within plain_tolerance(column, corrected)
+    of the corrected one."""
 
-    kind selects the acceptance rule a computed value must meet instead
-    of the plain tolerance; corrected holds the corrected reading where
-    one exists (misprints).
-    """
-
-    kind: str
-    corrected: float | None
+    corrected: float
     note: str
-
-    def accepts(self, computed: float, recorded: float, column: str) -> bool:
-        if self.kind == KIND_MISPRINT:
-            assert self.corrected is not None
-            return abs(computed - self.corrected) <= plain_tolerance(
-                column, self.corrected
-            )
-        if self.kind == KIND_PRINT_PRECISION:
-            # recorded at four decimals where the magnitude called for five
-            return abs(computed - recorded) <= 5e-5
-        if self.kind == KIND_PRINT_TRUNCATION:
-            # recorded value is the four-decimal floor, not the rounding
-            return recorded <= computed < recorded + 1e-4
-        if self.kind == KIND_LAST_DIGIT:
-            # off by one in the fifth decimal
-            return abs(round(computed, 5) - recorded) <= 1e-5 + 1e-12
-        raise ValueError(f"unknown annotation kind {self.kind!r}")
 
 
 ANNOTATIONS: dict[tuple[int, int, int, int, str], Annotation] = {
     (1000, 500, 500, 269, "p_fisher"): Annotation(
-        KIND_PRINT_PRECISION, None,
-        "recorded 0.0096 at four decimals; computed 0.00961715",
+        0.00962, "recorded 0.0096 at four decimals; computed 0.00961715",
     ),
     (1000, 500, 500, 275, "ub3"): Annotation(
-        KIND_MISPRINT, 0.00098,
-        "recorded 0.00100; corrected reading 0.00098 (computed 0.00098133)",
+        0.00098, "recorded 0.00100; corrected reading 0.00098 (computed 0.00098133)",
     ),
     (1000, 200, 250, 63, "chi2_p"): Annotation(
-        KIND_MISPRINT, 0.0088,
-        "recorded 0.088, inconsistent with neighbours; corrected reading 0.0088",
+        0.0088, "recorded 0.088, inconsistent with neighbours; corrected reading 0.0088",
     ),
     (1000, 50, 200, 15, "p_fisher"): Annotation(
-        KIND_PRINT_TRUNCATION, None,
-        "recorded 0.0559 is truncated, not rounded; computed 0.05595195",
+        0.0560, "recorded 0.0559 is truncated, not rounded; computed 0.05595195",
     ),
     (10000, 5000, 5000, 2559, "p_fisher"): Annotation(
-        KIND_PRINT_PRECISION, None,
-        "recorded 0.0096 at four decimals; computed 0.00963962",
+        0.00964, "recorded 0.0096 at four decimals; computed 0.00963962",
     ),
     (10000, 2000, 2500, 554, "ub1"): Annotation(
-        KIND_LAST_DIGIT, None,
-        "recorded 0.00118; computed 0.00117488 rounds to 0.00117",
+        0.00117, "recorded 0.00118; computed 0.00117488 rounds to 0.00117",
     ),
     (10000, 2000, 2500, 554, "ub3"): Annotation(
-        KIND_LAST_DIGIT, None,
-        "recorded 0.00114; computed 0.00113477 rounds to 0.00113",
+        0.00113, "recorded 0.00114; computed 0.00113477 rounds to 0.00113",
     ),
 }
 
@@ -183,19 +152,16 @@ def _computed_columns(row: RefRow) -> dict[str, float]:
     }
 
 
-def check_rows(
-    rows: Iterable[RefRow] = ROWS,
-    tolerance: float | None = None,
-    case: int | None = None,
-) -> list[CellCheck]:
+def check_rows(tolerance: float | None = None, case: int | None = None) -> list[CellCheck]:
     """Compare computed values against the grid, cell by cell.
 
     tolerance, when given, replaces every plain per-column tolerance;
-    annotations still apply to cells that miss the plain check.  case
-    filters to one margin configuration across both data sizes.
+    annotations still apply, at their plain tolerance, to cells that
+    miss the plain check.  case filters to one margin configuration
+    across both data sizes.
     """
     checks = []
-    for row in rows:
+    for row in ROWS:
         if case is not None and row.case != case:
             continue
         computed = _computed_columns(row)
@@ -215,7 +181,9 @@ def check_rows(
                 f" > {tol:g}"
             )
             annotation = ANNOTATIONS.get((*row.key, column))
-            if annotation is not None and annotation.accepts(value, recorded, column):
+            if annotation is not None and abs(value - annotation.corrected) <= plain_tolerance(
+                column, annotation.corrected
+            ):
                 checks.append(
                     CellCheck(
                         row, column, value, recorded, STATUS_ANNOTATED,

@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterator
 
+from .batch import format_float, format_pvalue
 from .bounds import report, ub_k
 from .contingency import ContingencyTable, _smallest_admissible, build_table
 from .errors import InvalidK, NegativeDependency
@@ -109,8 +110,6 @@ def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
 
 
 def write_sweep_csv(out: IO[str], spec: SweepSpec, points: list[SweepPoint]) -> None:
-    from .batch import format_float, format_pvalue
-
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(sweep_header(spec))
     for p in points:

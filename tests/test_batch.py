@@ -107,6 +107,15 @@ class TestRunBatch:
         assert isinstance(result, Reject)
         assert result.detail == "leverage numerator -500 is not positive"
 
+    def test_the_sign_is_rejected_before_the_range(self):
+        # a table without positive dependency stays NONPOSITIVE_DEPENDENCY
+        # at counts whose log-factorials would overflow
+        n = 10**306
+        fields = [str(n), str(n // 4), str(n // 4), str(n // 32)]
+        (result,) = run_batch([("huge", fields)])
+        assert result.reason == REASON_NONPOSITIVE
+        assert result.detail == f"leverage numerator {-(n * n // 32)} is not positive"
+
     def test_negate_evaluates_the_complement_table(self):
         (rec,) = run_batch([("r", ["1000", "200", "250", "40"])], negate=True)
         assert isinstance(rec, BatchRecord)

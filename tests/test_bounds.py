@@ -236,9 +236,8 @@ class TestUbK:
             ub_k(engine, bad)
 
     def test_refuses_nonpositive_dependency(self):
-        engine = make_term_engine(build_table(100, 50, 50, 25))
         with pytest.raises(NegativeDependency):
-            ub_k(engine, 3)
+            ub_k(make_term_engine(build_table(100, 50, 50, 25)), 3)
 
 
 class TestErrorBounds:
@@ -376,6 +375,31 @@ class TestReport:
         for n in (10**306, 10**400):
             with pytest.raises(OutOfRange, match="too large"):
                 report(build_table(n, n // 4, n // 4, n // 8))
+
+    def test_the_sign_is_refused_before_the_range(self):
+        # make_term_engine decides the sign before any lgamma, so a huge
+        # table without positive dependency is not OutOfRange
+        n = 10**306
+        with pytest.raises(NegativeDependency):
+            report(build_table(n, n // 4, n // 4, n // 16))
+
+    def test_out_of_range_comes_before_a_bad_k(self):
+        # lgamma overflows at n = 1e306; at n = 1e160 only the odds ratio
+        # mxa mnxna / (mxna mnxa), about n^2 / 4, does
+        for n in (10**306, 10**160):
+            with pytest.raises(OutOfRange, match="too large"):
+                report(build_table(n, n // 2 + 1, n // 2 + 1, n // 2), k=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect (k): log_p0 cancels lgamma values of size n ln n",
+    )
+    def test_near_independent_huge_table_bounds_its_p_value(self):
+        # cells a = d = 1e40, b = 1e40 - 1, c = 1e40 + 1: lift 1 and
+        # chi2_p 0.5, so p_F is near 0.5 and every bound lies above it
+        a = 10**40
+        t = build_table(4 * a, 2 * a - 1, 2 * a + 1, a)
+        assert report(t, include_exact=False).ub_k.linear_value >= 0.4
 
 
 class TestOnePass:

@@ -98,11 +98,23 @@ class TestTermEngine:
             assert math.exp(engine.log_p0) == pytest.approx(float(p0), rel=1e-12)
 
     def test_margin_factor_is_reciprocal_choose(self):
-        t = build_table(200, 80, 90, 50)
-        engine = make_term_engine(t)
-        assert engine.log_pabs == pytest.approx(
+        # log_p0 of the edge table (n, ma, ma, ma) is the margin factor alone
+        engine = make_term_engine(build_table(200, 90, 90, 90))
+        assert engine.log_p0 == pytest.approx(
             -math.log(math.comb(200, 90)), rel=1e-13
         )
+
+    def test_refuses_exactly_the_tables_without_positive_dependency(self):
+        # the one place the package decides the sign
+        refused = 0
+        for t in iter_exhaustive(max_n=15):
+            if t.positive_dependency:
+                assert make_term_engine(t).table == t
+            else:
+                with pytest.raises(NegativeDependency, match=f"numerator {t.delta_counts} "):
+                    make_term_engine(t)
+                refused += 1
+        assert refused > 0
 
     def test_ratio_matches_rational(self):
         t = build_table(100, 30, 40, 20)

@@ -1,4 +1,4 @@
-"""Reference grid: shape, per-cell checking, annotation rules."""
+"""Reference grid: shape, per-cell checking, the annotation rule."""
 
 from __future__ import annotations
 
@@ -16,16 +16,8 @@ from fisherbounds import (
     make_term_engine,
     check_rows,
 )
-from fisherbounds.reftables import (
-    ANNOTATIONS,
-    KIND_LAST_DIGIT,
-    KIND_MISPRINT,
-    KIND_PRINT_PRECISION,
-    KIND_PRINT_TRUNCATION,
-    REF_COLUMNS,
-    Annotation,
-    plain_tolerance,
-)
+from fisherbounds import reftables
+from fisherbounds.reftables import ANNOTATIONS, REF_COLUMNS, plain_tolerance
 
 
 class TestGrid:
@@ -95,32 +87,43 @@ class TestCheckRows:
         assert value == pytest.approx(0.00961715, abs=5e-9)
 
 
-class TestAnnotationRules:
-    def test_truncation_window_is_half_open(self):
-        ann = Annotation(KIND_PRINT_TRUNCATION, None, "")
-        assert ann.accepts(0.05595, 0.0559, "p_fisher")
-        assert ann.accepts(0.0559, 0.0559, "p_fisher")
-        assert not ann.accepts(0.05589, 0.0559, "p_fisher")
-        assert not ann.accepts(0.0561, 0.0559, "p_fisher")
+class TestAnnotationRule:
+    def test_each_annotation_accepts_its_corrected_reading_alone(self, monkeypatch):
+        # the computed value misses the recorded reading and passes the
+        # corrected one; with the plain checks crushed, the corrected
+        # reading itself passes and values one print unit (twice the
+        # plain tolerance) away from it fail
+        checks = {(*ch.row.key, ch.column): ch for ch in check_rows()}
+        for key, annotation in ANNOTATIONS.items():
+            ch, column = checks[key], key[-1]
+            assert abs(ch.computed - ch.recorded) > plain_tolerance(column, ch.recorded)
+            assert abs(ch.computed - annotation.corrected) <= plain_tolerance(
+                column, annotation.corrected
+            )
+            assert ch.status == STATUS_ANNOTATED
 
-    def test_last_digit_allows_exactly_one_step(self):
-        ann = Annotation(KIND_LAST_DIGIT, None, "")
-        assert ann.accepts(0.0011749, 0.00118, "ub1")
-        assert not ann.accepts(0.0011649, 0.00118, "ub1")
+        computed_columns = reftables._computed_columns
+        for units in (0, -1, 1):
+            def shifted(row, units=units):
+                columns = computed_columns(row)
+                for column in REF_COLUMNS:
+                    annotation = ANNOTATIONS.get((*row.key, column))
+                    if annotation is not None:
+                        unit = 2 * plain_tolerance(column, annotation.corrected)
+                        columns[column] = annotation.corrected + units * unit
+                return columns
 
-    def test_misprint_checks_against_the_corrected_reading(self):
-        ann = Annotation(KIND_MISPRINT, 0.0088, "")
-        assert ann.accepts(0.00879, 0.088, "chi2_p")
-        assert not ann.accepts(0.0101, 0.088, "chi2_p")
-
-    def test_print_precision_widens_to_four_decimals(self):
-        ann = Annotation(KIND_PRINT_PRECISION, None, "")
-        assert ann.accepts(0.00961715, 0.0096, "p_fisher")
-        assert not ann.accepts(0.0097, 0.0096, "p_fisher")
-
-    def test_unknown_kind_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown annotation kind"):
-            Annotation("SMUDGE", None, "").accepts(0.1, 0.1, "ub1")
+            monkeypatch.setattr(reftables, "_computed_columns", shifted)
+            for ch in check_rows(tolerance=1e-12):
+                if (*ch.row.key, ch.column) not in ANNOTATIONS:
+                    continue
+                if units == 0:
+                    assert ch.status == STATUS_ANNOTATED
+                elif abs(ch.computed - ch.recorded) <= 1e-12:
+                    # a last digit off by one: the shift lands on the record
+                    assert ch.status == STATUS_PASS
+                else:
+                    assert ch.status == STATUS_FAIL
 
 
 class TestTolerances:
