@@ -48,7 +48,6 @@ REASON_NONPOSITIVE = "NONPOSITIVE_DEPENDENCY"
 REASON_OUT_OF_RANGE = "OUT_OF_RANGE"
 
 _LN10 = math.log(10.0)
-_LOG_DOUBLE_MAX = 709.782712893384  # ln of the largest double
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +91,7 @@ def _split_line(line: str) -> list[str] | None:
 
 
 def _read_rows(path: str):
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         header = _split_line(fh.readline())
         if header is None or tuple(h.strip().lower() for h in header) != INPUT_HEADER:
             raise ValueError(f"expected header {','.join(INPUT_HEADER)!r} in {path}")
@@ -113,8 +112,6 @@ def _evaluate(
     include_exact: bool,
 ) -> BatchRecord | Reject:
     try:
-        if len(fields) != 4:
-            raise ValueError
         n, mx, ma, mxa = (int(f) for f in fields)
     except ValueError:
         return Reject(row_id, REASON_BAD_ROW, "expected four integer counts")
@@ -164,8 +161,9 @@ def format_pvalue(pv) -> str:
 def _format_log(log_value: float) -> str:
     """Six significant digits of exp(log_value), from the linear value
     while it is a normal double and from the log below that, where
-    subnormals keep too few bits and deep tails underflow to 0."""
-    linear = math.exp(log_value) if log_value <= _LOG_DOUBLE_MAX else 0.0
+    subnormals keep too few bits and deep tails underflow to 0.  Every
+    log formatted here is at most ln n, so exp cannot overflow."""
+    linear = math.exp(log_value)
     if linear >= sys.float_info.min or log_value == -math.inf:
         return f"{linear:.6g}"
     exponent10 = log_value / _LN10

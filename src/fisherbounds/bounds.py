@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .chi2 import Chi2Result, chi2_one_sided
 from .contingency import ContingencyTable, DerivedStats, derive_stats
-from .errors import InvalidK, OutOfRange
+from .errors import InvalidK
 from .exact import PValue, TermEngine, _log_tail_factor, _walk, make_term_engine
 
 __all__ = [
@@ -143,29 +143,20 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     ub2, ub_k, both error ceilings and p_fisher come from one pass of
     exact._walk.  p_fisher stops once the rest cannot change the double
     result: a few dozen terms on strong tables, O(sqrt n) near
-    independence, at most J + 1.  A table without positive dependency
-    raises NegativeDependency from make_term_engine, before anything
-    else.  Counts too large for double-precision arithmetic, ub1's
-    multiplier included, raise OutOfRange before any sum starts.
+    independence, at most J + 1.  make_term_engine refuses a table
+    first: NegativeDependency without positive dependency, then
+    OutOfRange for n above 2^50; InvalidK comes after both.  Within that
+    range no float computed here overflows.
     """
-    try:
-        engine = make_term_engine(t)
-        stats = derive_stats(t)
-        _require_k(k)
-        # before the walk, so a table whose bounds cannot be represented
-        # never starts an exact sum that may run to J terms
-        ub1_pv = ub1(engine)
-    except OverflowError:
-        # lgamma from n of about 2.5e305, derive_stats once the odds ratio
-        # passes 1.8e308 (n of about 1e155 and up), and ub1 once its
-        # multiplier mxa mnxna / (n mxa - mx ma) does
-        raise OutOfRange("counts too large for double-precision arithmetic") from None
+    engine = make_term_engine(t)
+    _require_k(k)
+    stats = derive_stats(t)
     flags = guarantees(stats)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
     return ApproxReport(
         table=t,
         stats=stats,
-        ub1=ub1_pv,
+        ub1=ub1(engine),
         ub2=ub2_pv,
         ub_k=ubk_pv,
         k_used=k,

@@ -19,8 +19,7 @@ class DegenerateMargin(ValueError):
 
 
 class OutOfRange(ValueError):
-    """Counts too large for double-precision arithmetic: a log-factorial,
-    the odds ratio or ub1's multiplier would overflow."""
+    """n above 2^50, the supported range; make_term_engine raises it."""
 
 
 class CapacityExceeded(ValueError):

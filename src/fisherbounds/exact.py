@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contingency import ContingencyTable
-from .errors import CapacityExceeded, NegativeDependency
+from .errors import CapacityExceeded, NegativeDependency, OutOfRange
 
 __all__ = [
     "PValue",
@@ -95,21 +95,30 @@ class TermEngine:
             yield ((mxna - i + 1) * (mnxa - i + 1)) / ((mxa + i) * (mnxna + i))
 
 
+# The supported range of n.  Within it every ratio stays more than
+# 1/n >= 2^-50 below 1, as the stop proof in _walk needs, and no float
+# the package computes overflows.  It does not bound the error of
+# log_p0, which grows with n ln n; see the README's numerical notes.
+_MAX_N = 2**50
+
+
 def make_term_engine(t: ContingencyTable) -> TermEngine:
     """Build the engine for a table from math.lgamma log-factorials.
 
-    The one place the package refuses a table without positive
-    dependency: NegativeDependency, before any log-factorial; negate the
-    consequent to test the opposite direction.  Each ln C(m, k) is
-    ln m! - (ln k! + ln (m - k)!), the subtrahends added before
-    subtracting, which makes it exactly symmetric in k and m - k and
-    exactly 0.0 at the edges: log_p0 is ln C(mx, mxa) + ln C(n - mx,
+    The one place the package refuses a valid table: NegativeDependency
+    for one without positive dependency (negate the consequent to test
+    the opposite direction), then OutOfRange for n above 2^50, both
+    before any log-factorial.  Each ln C(m, k) is ln m! - (ln k! +
+    ln (m - k)!), the subtrahends added before subtracting, which makes
+    it exactly symmetric in k and m - k and exactly 0.0 at the edges: log_p0 is ln C(mx, mxa) + ln C(n - mx,
     mnxna) - ln C(n, ma), so the edge table (n, ma, ma, ma) has log_p0
     = -ln C(n, ma) exactly.  Written out straight-line because engine
     builds dominate a screen of many small tables.
     """
     if not t.positive_dependency:
         raise NegativeDependency(f"leverage numerator {t.delta_counts} is not positive")
+    if t.n > _MAX_N:
+        raise OutOfRange("counts too large for double-precision arithmetic")
     lg = math.lgamma
     n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa
     mxna, mnxa, mnxna = t.mxna, t.mnxa, t.mnxna
@@ -166,8 +175,6 @@ def _tail(engine: TermEngine, l: int, total: float, comp: float, prod: float):
     return engine.log_p0 + math.log(total + (prod * geometric - comp)), log_ceiling
 
 
-# The geometric tail bound is used only while 1 - q >= 8 u (u = 2^-53).
-_GEOMETRIC_Q_MAX = 1.0 - 2.0**-50
 # Rounding below the normal range adds at most 2^-1075 per product;
 # J 2^-1021 covers all of it in the stop test.
 _SUBNORMAL_SLACK = 2.0**-1021
@@ -188,11 +195,10 @@ def _walk(engine: TermEngine, k: int, exact: bool):
 
         2.5 prod min(q / (1 - q), L) + J 2^-1021 - comp < ulp(total) / 2
 
-    holds, with q the next ratio, L the number of unsummed terms, and
-    q / (1 - q) taken only while q <= 1 - 2^-50.  raw_log therefore
-    equals exact_fisher's bit for bit, and terms_evaluated counts the
-    terms actually summed: a few dozen on strong tables, O(sqrt n) near
-    independence, never more than J + 1.
+    holds, with q the next ratio and L the number of unsummed terms.
+    raw_log therefore equals exact_fisher's bit for bit, and
+    terms_evaluated counts the terms actually summed: a few dozen on
+    strong tables, O(sqrt n) near independence, never more than J + 1.
 
     Why the unsummed terms cannot change total (u = 2^-53, rounding to
     nearest):
@@ -215,10 +221,13 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        and neither do the computed products.  Hence S <= L prod with no
        rounding slack, and once prod == 0.0 every c is 0.0 and r never
        leaves -comp.
-    5. While q <= 1 - 8u, each product is at most q (1 + u) times the one
-       before, plus 2^-1075 below the normal range, and 1 - q (1 + u) >=
-       (7/8)(1 - q).  Summing the geometric series gives S <= (8/7)(1 + u)
-       prod q / (1 - q) + L 2^-1022 / 7.
+    5. Every computed q is at most 1 - 8u: every exact ratio is at most
+       q_1, 1 - q_1 > 1/n, make_term_engine admits only n <= 2^50 = 1/(8u),
+       and the integer division rounds correctly to the double grid, on
+       which 1 - 8u lies.  So each product is at most q (1 + u) times the
+       one before, plus 2^-1075 below the normal range, and
+       1 - q (1 + u) >= (7/8)(1 - q).  Summing the geometric series gives
+       S <= (8/7)(1 + u) prod q / (1 - q) + L 2^-1022 / 7.
     6. By 4 and 5, 2S is below the first two terms of the test.  Their
        float value still is: each of its few roundings loses at most a
        factor 1 - u, or 2^-1075 below the normal range, which the step
@@ -237,7 +246,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     tail_left = j + 2 - k  # remaining when term k - 1 comes up
     for q in engine.ratios():
         if exact:
-            g = q / (1.0 - q) if q <= _GEOMETRIC_Q_MAX else remaining
+            g = q / (1.0 - q)
             if g > remaining:
                 g = remaining
             if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):

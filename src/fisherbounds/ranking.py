@@ -59,7 +59,7 @@ def _log10_key(field: str) -> float:
 
 def rows_from_batch_csv(path: str) -> list[RankedRow]:
     """Ranked rows read back from a batch output file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != OUTPUT_HEADER:
@@ -123,19 +123,20 @@ def rank_agreement(
     top_k: int,
     measures: Sequence[str] = MEASURES,
 ) -> AgreementReport:
-    """Pairwise top-k overlap and rank correlation across measures."""
+    """Pairwise top-k overlap and rank correlation across measures.
+
+    No rows means nothing to compare, which is an error rather than
+    perfect agreement.
+    """
     if top_k < 1:
         raise ValueError(f"top_k must be positive, got {top_k}")
+    if not rows:
+        raise ValueError("no evaluated rows to rank")
     orders = {m: ranking(rows, m) for m in measures}
     effective = min(top_k, len(rows))
     pairs = []
     for a, b in combinations(measures, 2):
-        if effective == 0:
-            overlap = 1.0
-        else:
-            overlap = (
-                len(set(orders[a][:effective]) & set(orders[b][:effective]))
-                / effective
-            )
+        top = set(orders[a][:effective]) & set(orders[b][:effective])
+        overlap = len(top) / effective
         pairs.append(PairAgreement(a, b, overlap, _spearman(orders[a], orders[b])))
     return AgreementReport(top_k, len(rows), tuple(pairs))

@@ -171,27 +171,18 @@ def check_rows(tolerance: float | None = None, case: int | None = None) -> list[
             tol = tolerance if tolerance is not None else plain_tolerance(
                 column, recorded
             )
-            if math.isfinite(value) and abs(value - recorded) <= tol:
-                checks.append(
-                    CellCheck(row, column, value, recorded, STATUS_PASS, "")
-                )
-                continue
-            note = (
-                f"|{value:.8g} - {recorded:g}| = {abs(value - recorded):.2e}"
-                f" > {tol:g}"
-            )
             annotation = ANNOTATIONS.get((*row.key, column))
-            if annotation is not None and abs(value - annotation.corrected) <= plain_tolerance(
-                column, annotation.corrected
-            ):
-                checks.append(
-                    CellCheck(
-                        row, column, value, recorded, STATUS_ANNOTATED,
-                        annotation.note,
-                    )
-                )
+            if math.isfinite(value) and abs(value - recorded) <= tol:
+                status, note = STATUS_PASS, ""
+            elif annotation is not None and abs(
+                value - annotation.corrected
+            ) <= plain_tolerance(column, annotation.corrected):
+                status, note = STATUS_ANNOTATED, annotation.note
             else:
-                checks.append(
-                    CellCheck(row, column, value, recorded, STATUS_FAIL, note)
+                status = STATUS_FAIL
+                note = (
+                    f"|{value:.8g} - {recorded:g}| = {abs(value - recorded):.2e}"
+                    f" > {tol:g}"
                 )
+            checks.append(CellCheck(row, column, value, recorded, status, note))
     return checks

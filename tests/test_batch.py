@@ -314,11 +314,18 @@ class TestLargeTables:
     # a = d = k, b = k - 1, c = k + 1: a d - b c = 1, so ub1's multiplier
     # a d / (a d - b c) is 1e320 while every count fits a double
     _NEAR_INDEPENDENT = (4 * 10**160, 2 * 10**160 - 1, 2 * 10**160 + 1, 10**160)
+    # the same shape at n = 4e40: p_F is near 0.5, and the certified sum
+    # would need about 1e20 terms
+    _NEAR_INDEPENDENT_4E40 = (4 * 10**40, 2 * 10**40 - 1, 2 * 10**40 + 1, 10**40)
 
     @pytest.mark.parametrize("mode", [[], ["--no-exact"]])
     def test_unrepresentable_ub1_is_a_reject_before_any_sum(self, tmp_path, mode):
         counts = ",".join(map(str, self._NEAR_INDEPENDENT))
-        path = _write(tmp_path, f"id,n,mx,ma,mxa\nbig,{counts}\nafter,1000,200,250,60\n")
+        counts_4e40 = ",".join(map(str, self._NEAR_INDEPENDENT_4E40))
+        path = _write(
+            tmp_path,
+            f"id,n,mx,ma,mxa\nbig,{counts}\nhuge,{counts_4e40}\nafter,1000,200,250,60\n",
+        )
         out = tmp_path / "out.csv"
         rejects = tmp_path / "rejects.csv"
         start = time.perf_counter()
@@ -327,8 +334,10 @@ class TestLargeTables:
         assert time.perf_counter() - start < 1.0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["after"]
+        detail = "counts too large for double-precision arithmetic"
         assert rejects.read_text(encoding="utf-8").splitlines()[1:] == [
-            f"big,{REASON_OUT_OF_RANGE},counts too large for double-precision arithmetic"
+            f"big,{REASON_OUT_OF_RANGE},{detail}",
+            f"huge,{REASON_OUT_OF_RANGE},{detail}",
         ]
 
     def test_unrepresentable_ub1_fails_eval_with_the_reject_detail(self, capsys):

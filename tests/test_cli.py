@@ -157,6 +157,15 @@ class TestBatch:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == ",".join(OUTPUT_HEADER)
 
+    def test_byte_order_mark_gives_the_same_output(self, input_csv, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with EF BB BF
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + input_csv.read_bytes())
+        assert main(["batch", str(input_csv)]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main(["batch", str(bom_csv)]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
     def test_missing_input_exits_two(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.csv")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error:")
@@ -256,6 +265,26 @@ class TestRankAgreement:
         path.write_text("id,value\na,1\n", encoding="utf-8")
         assert main(["rank-agreement", str(path)]) == EXIT_DATA
         assert "not a batch output file" in capsys.readouterr().err
+
+    def test_byte_order_mark_gives_the_same_report(self, batch_file, tmp_path, capsys):
+        bom_file = tmp_path / "bom.csv"
+        bom_file.write_bytes(b"\xef\xbb\xbf" + batch_file.read_bytes())
+        assert main(["rank-agreement", str(batch_file)]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main(["rank-agreement", str(bom_file)]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    def test_output_without_evaluated_rows_exits_two(self, tmp_path, capsys):
+        # no rows is nothing to compare, not perfect agreement
+        in_path = tmp_path / "in.csv"
+        in_path.write_text("id,n,mx,ma,mxa\nc,100,50,50,25\n", encoding="utf-8")
+        out_path = tmp_path / "rejected.csv"
+        assert main(["batch", str(in_path), "--out", str(out_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["rank-agreement", str(out_path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no evaluated rows to rank\n"
 
 
 class TestBench:

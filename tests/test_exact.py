@@ -12,6 +12,7 @@ import pytest
 from fisherbounds import (
     CapacityExceeded,
     NegativeDependency,
+    OutOfRange,
     PValue,
     build_table,
     exact_fisher,
@@ -115,6 +116,25 @@ class TestTermEngine:
                     make_term_engine(t)
                 refused += 1
         assert refused > 0
+
+    def test_refuses_n_above_two_to_the_fifty(self):
+        # the supported range, decided after the sign: within it
+        # 1 - q_1 > 1/n >= 2^-50, as the certified stop needs
+        k = 2**48  # cells a = d = k, b = k - 1, c = k + 1, so n = 2^50
+        engine = make_term_engine(build_table(4 * k, 2 * k - 1, 2 * k + 1, k))
+        assert 1.0 - next(engine.ratios()) >= 2.0**-50
+        beyond = [build_table(2**50 + 1, 2**49, 2**49, 2**48 + 1)]
+        # J = 2 tables at n near 4e31 and 3e33, where q_1 would round to
+        # within 2 ulps of 1 and to exactly 1.0
+        for m in (2**53, 2**56):
+            mxna = m * m // 2 - 4
+            beyond.append(build_table(2 * m + mxna + 2, m + mxna, m + 2, m))
+        for t in beyond:
+            assert t.positive_dependency
+            with pytest.raises(OutOfRange, match="too large for double-precision"):
+                make_term_engine(t)
+        with pytest.raises(NegativeDependency):
+            make_term_engine(build_table(2**50 + 1, 2**49, 2**49, 2**47))
 
     def test_ratio_matches_rational(self):
         t = build_table(100, 30, 40, 20)
@@ -227,19 +247,6 @@ class TestExactFisherCertified:
         assert pv.raw_log == exact_fisher(engine).raw_log
         assert pv.terms_evaluated == 21
         assert engine.j + 1 == 33
-
-    @pytest.mark.parametrize("m", [2**53, 2**56])
-    def test_ratio_rounding_to_within_ulps_of_one(self, m):
-        # 1 - q_1 > 1/n under positive dependency, so q_1 comes within a
-        # few ulps of 1 only for n beyond 2^50; these J = 2 tables have
-        # n near 4e31 and 3e33, where q_1 is 2 ulps below 1 and exactly 1.0
-        mxna = m * m // 2 - 4
-        t = build_table(2 * m + mxna + 2, m + mxna, m + 2, m)
-        engine = make_term_engine(t)
-        assert 0.0 <= 1.0 - next(engine.ratios()) <= 2.0**-52
-        pv = exact_fisher_certified(engine)
-        assert pv.raw_log == exact_fisher(engine).raw_log
-        assert pv.terms_evaluated == engine.j + 1 == 3
 
     def test_refuses_nonpositive_dependency(self):
         with pytest.raises(NegativeDependency):

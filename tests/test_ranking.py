@@ -180,6 +180,16 @@ class TestOnEvaluatedTables:
 
 
 class TestRowsFromBatchCsv:
+    def test_blank_lines_are_skipped(self, records, tmp_path):
+        out = io.StringIO()
+        write_batch_csv(out, records[:3], None)
+        header, *lines = out.getvalue().splitlines(keepends=True)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(out.getvalue(), encoding="utf-8")
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(header + "\n" + "\n\n".join(lines) + "\n", encoding="utf-8")
+        assert rows_from_batch_csv(str(spaced)) == rows_from_batch_csv(str(plain))
+
     def test_rejects_a_foreign_header(self, tmp_path):
         path = tmp_path / "foreign.csv"
         path.write_text("id,value\na,1\n", encoding="utf-8")

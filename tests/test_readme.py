@@ -60,3 +60,25 @@ def test_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
             captured = capsys.readouterr()
             assert captured.out + captured.err == expected, command
             assert code == (EXIT_DATA if expected.startswith("error:") else EXIT_OK), command
+
+
+def test_python_quickstart_matches_its_comments(capsys):
+    # each print's comment starts with what it prints, and each commented
+    # assignment whose comment starts with a number names its linear value
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    namespace: dict = {}
+    exec(block, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    commented = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    expected = [(code.strip(), note.split()[0].rstrip(",")) for code, note in commented]
+    prints = [value for code, value in expected if code.startswith("print(")]
+    assert printed == prints
+    assigned = {
+        code.split("=")[0].strip(): value
+        for code, value in expected
+        if not code.startswith("print(") and re.fullmatch(r"-?[0-9.]+", value)
+    }
+    assert len(prints) + len(assigned) == 8
+    for name, value in assigned.items():
+        assert repr(namespace[name].linear_value) == value, name
