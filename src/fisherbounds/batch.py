@@ -68,17 +68,12 @@ class Reject:
 def read_table_csv(path: str) -> Iterator[tuple[str, list[str]]]:
     """Rows of an id,n,mx,ma,mxa file as (id, remaining fields) pairs, lazily.
 
-    The file is opened and its mandatory header checked at the call; the
-    rows are read as they are consumed.  Each physical line is parsed on
-    its own, so a stray quote cannot swallow the lines after it.  Lines
-    whose fields are all blank are skipped; a line the csv module cannot
-    split (an unbalanced quote, a field over its size limit) comes with
-    no fields, and bytes that are not UTF-8 read as U+FFFD, so run_batch
-    rejects such a line like any other malformed one.  Rows without an
-    id get one from their line number.
+    The header is checked at the call; the rows are read as they are
+    consumed, as _read_rows reads them.
     """
     rows = _read_rows(path)
-    next(rows)  # runs to the header check; the file closes with the generator
+    if next(rows) != INPUT_HEADER:
+        raise ValueError(f"expected header {','.join(INPUT_HEADER)!r} in {path}")
     return rows
 
 
@@ -91,11 +86,16 @@ def _split_line(line: str) -> list[str] | None:
 
 
 def _read_rows(path: str):
+    """The package's one CSV reader: the header names, stripped and
+    lower-cased, then (id, stripped fields) for each line not all blank.
+
+    Each line is parsed on its own, so a stray quote cannot swallow the
+    lines after it; a line the csv module cannot split comes with no
+    fields.  A byte-order mark is dropped, bytes that are not UTF-8 read
+    as U+FFFD, and a row without an id gets line<N>.
+    """
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
-        header = _split_line(fh.readline())
-        if header is None or tuple(h.strip().lower() for h in header) != INPUT_HEADER:
-            raise ValueError(f"expected header {','.join(INPUT_HEADER)!r} in {path}")
-        yield None
+        yield tuple(h.strip().lower() for h in _split_line(fh.readline()) or ())
         for line_no, line in enumerate(fh, 2):
             row = _split_line(line)
             if row is None:

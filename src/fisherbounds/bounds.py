@@ -41,6 +41,15 @@ def _require_k(k: int) -> None:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
 
 
+def _require_extra_k(k: int) -> None:
+    """eval and sweep print ub1 and ub2 on lines of their own, so the extra
+    order they print must be at least 3."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 3:
+        raise InvalidK(
+            f"k must be an integer >= 3, got {k!r}; orders 1 and 2 are always included"
+        )
+
+
 def ub1(engine: TermEngine) -> PValue:
     """Closed-form bound p_0 (1 + P(X not A) P(not X A) / leverage).
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
+from itertools import combinations
 from typing import Sequence
 
 from . import __version__
@@ -34,7 +36,7 @@ from .bench import (
     large_scale_terms,
     run_bench,
 )
-from .bounds import report
+from .bounds import _require_extra_k, report
 from .contingency import _smallest_admissible, build_table, negate_consequent
 from .errors import NegativeDependency
 from .ranking import rank_agreement, rows_from_batch_csv
@@ -73,7 +75,7 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a single table")
     for name in ("n", "mx", "ma", "mxa"):
         p_eval.add_argument(name, type=int)
-    p_eval.add_argument("--k", type=int, default=3, help="exact leading terms")
+    p_eval.add_argument("--k", type=int, default=3, help="exact leading terms (>= 3)")
     p_eval.add_argument(
         "--negate", action="store_true", help="evaluate the negated consequent"
     )
@@ -139,6 +141,7 @@ def _open_csv(path: str | None, default):
 
 
 def _cmd_eval(args) -> int:
+    _require_extra_k(args.k)
     t = build_table(args.n, args.mx, args.ma, args.mxa)
     if args.negate:
         t = negate_consequent(t)
@@ -184,8 +187,21 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Two paths to one regular file, or one path where either is not there."""
+    try:
+        return os.path.samefile(a, b) and os.path.isfile(a)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_batch(args) -> int:
-    # the input, its header and k are checked before any output file exists
+    # the paths, the input, its header and k are checked before any output
+    # file exists, so a refused run touches no file
+    paths = (("the input", args.input), ("--out", args.out), ("--rejects", args.rejects))
+    for (name_a, a), (name_b, b) in combinations(paths, 2):
+        if a and b and _same_file(a, b):
+            raise ValueError(f"{name_a} and {name_b} are the same file: {b}")
     rows = read_table_csv(args.input)
     results = run_batch(rows, k=args.k, negate=args.negate, include_exact=not args.no_exact)
     with _open_csv(args.out, sys.stdout) as out, _open_csv(args.rejects, None) as rejects:

@@ -9,14 +9,13 @@ ranking is a deterministic permutation.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .batch import OUTPUT_HEADER
+from .batch import OUTPUT_HEADER, _read_rows
 
 __all__ = [
     "MEASURES",
@@ -58,24 +57,23 @@ def _log10_key(field: str) -> float:
 
 
 def rows_from_batch_csv(path: str) -> list[RankedRow]:
-    """Ranked rows read back from a batch output file."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != OUTPUT_HEADER:
-            raise ValueError(f"not a batch output file: {path}")
-        index = {name: i for i, name in enumerate(OUTPUT_HEADER)}
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if not row[index["p_fisher"]].strip():
-                raise ValueError(
-                    "input lacks exact values; regenerate it without --no-exact"
-                )
-            keys = {m: _log10_key(row[index[m]]) for m in MEASURES}
-            rows.append(RankedRow(row[index["id"]], keys))
-        return rows
+    """Ranked rows read back from a batch output file by batch's reader.
+
+    A row that is not a full batch output row (a truncated file, a stray
+    quote) is an error naming the row and the file.
+    """
+    rows = _read_rows(path)
+    if next(rows) != OUTPUT_HEADER:
+        raise ValueError(f"not a batch output file: {path}")
+    ranked = []
+    for row_id, fields in rows:
+        if len(fields) != len(OUTPUT_HEADER) - 1:
+            raise ValueError(f"row {row_id} of {path} is not a full batch output row")
+        row = dict(zip(OUTPUT_HEADER[1:], fields))
+        if not row["p_fisher"]:
+            raise ValueError("input lacks exact values; regenerate it without --no-exact")
+        ranked.append(RankedRow(row_id, {m: _log10_key(row[m]) for m in MEASURES}))
+    return ranked
 
 
 def ranking(rows: Sequence[RankedRow], measure: str) -> list[str]:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .batch import format_float, format_pvalue
-from .bounds import report, ub_k
+from .bounds import _require_extra_k, report, ub_k
 from .contingency import ContingencyTable, _smallest_admissible, build_table
-from .errors import InvalidK, NegativeDependency
+from .errors import NegativeDependency
 from .exact import PValue, make_term_engine
 
 __all__ = ["SweepSpec", "SweepPoint", "run_sweep", "sweep_header", "write_sweep_csv"]
@@ -44,11 +44,7 @@ class SweepSpec:
                 f"empty sweep: mxa_lo={self.mxa_lo} exceeds mxa_hi={self.mxa_hi}"
             )
         for k in self.ks:
-            if isinstance(k, bool) or not isinstance(k, int) or k < 3:
-                raise InvalidK(
-                    f"sweep k must be an integer >= 3, got {k!r};"
-                    " orders 1 and 2 are always included"
-                )
+            _require_extra_k(k)
         lo = build_table(self.n, self.mx, self.ma, self.mxa_lo)
         build_table(self.n, self.mx, self.ma, self.mxa_hi)
         if not lo.positive_dependency:

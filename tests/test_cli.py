@@ -101,6 +101,15 @@ class TestEval:
         assert err.startswith("error: no positive dependency at mxa=1;")
         assert f"smallest admissible mxa is {n // 4 + 1};" in err
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_k_below_three_exits_two(self, k, capsys):
+        # ub1 and ub2 always have their own lines, so orders 1 and 2 would
+        # print a second, contradicting line under the same name
+        assert main(["eval", "1000", "200", "250", "60", "--k", k]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "orders 1 and 2 are always included" in captured.err
+
     def test_margin_violation_exits_two(self, capsys):
         assert main(["eval", "10", "4", "7", "5"]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error:")
@@ -169,6 +178,30 @@ class TestBatch:
     def test_missing_input_exits_two(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.csv")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--out", "{input}"],
+            ["--rejects", "{input}"],
+            ["--out", "{other}", "--rejects", "{other}"],
+        ],
+        ids=["out-is-input", "rejects-is-input", "out-is-rejects"],
+    )
+    def test_same_file_twice_exits_two_before_writing(
+        self, flags, input_csv, tmp_path, capsys
+    ):
+        before = input_csv.read_bytes()
+        other = tmp_path / "both.csv"
+        argv = [f.format(input=input_csv, other=other) for f in flags]
+        assert main(["batch", str(input_csv), *argv]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "are the same file" in captured.err
+        assert captured.err.count("\n") == 1
+        assert input_csv.read_bytes() == before
+        assert not other.exists()
 
     def test_foreign_header_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -265,6 +298,31 @@ class TestRankAgreement:
         path.write_text("id,value\na,1\n", encoding="utf-8")
         assert main(["rank-agreement", str(path)]) == EXIT_DATA
         assert "not a batch output file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("row", "row_id"),
+        [
+            # a file cut short inside a row
+            ("a,1000,200,250,60,140,1.2,0.01", "a"),
+            # an unbalanced quote: read as one field, it would run on
+            # through the lines after it; the line cannot be split alone
+            (
+                '"b,1000,200,250,60,140,1.2,0.01,1.37594,0.0428803,0.0507688,'
+                "0.0484486,0.044655,3,0.0190739,0.0339446,50,0,0,0",
+                "line3",
+            ),
+        ],
+        ids=["truncated", "leading-quote"],
+    )
+    def test_partial_row_exits_two_naming_it(self, row, row_id, batch_file, capsys):
+        header, first, *rest = batch_file.read_text(encoding="utf-8").splitlines()
+        batch_file.write_text("\n".join([header, first, row, *rest]) + "\n", encoding="utf-8")
+        assert main(["rank-agreement", str(batch_file)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: row {row_id} of {batch_file} is not a full batch output row\n"
+        )
 
     def test_byte_order_mark_gives_the_same_report(self, batch_file, tmp_path, capsys):
         bom_file = tmp_path / "bom.csv"

@@ -189,6 +189,20 @@ class TestRowsFromBatchCsv:
         spaced = tmp_path / "spaced.csv"
         spaced.write_text(header + "\n" + "\n\n".join(lines) + "\n", encoding="utf-8")
         assert rows_from_batch_csv(str(spaced)) == rows_from_batch_csv(str(plain))
+        # whitespace-only lines, as a hand edit can leave them
+        padded = tmp_path / "padded.csv"
+        padded.write_text(header + "  \n" + " \t \n".join(lines), encoding="utf-8")
+        assert rows_from_batch_csv(str(padded)) == rows_from_batch_csv(str(plain))
+
+    def test_header_is_matched_case_insensitively(self, records, tmp_path):
+        out = io.StringIO()
+        write_batch_csv(out, records[:3], None)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(out.getvalue(), encoding="utf-8")
+        upper = tmp_path / "upper.csv"
+        header, rest = out.getvalue().split("\n", 1)
+        upper.write_text(header.upper() + "\n" + rest, encoding="utf-8")
+        assert rows_from_batch_csv(str(upper)) == rows_from_batch_csv(str(plain))
 
     def test_rejects_a_foreign_header(self, tmp_path):
         path = tmp_path / "foreign.csv"
