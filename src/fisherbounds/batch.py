@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .bounds import ApproxReport, _require_k, report
-from .contingency import build_table, negate_consequent
+from .chi2 import _DOUBLE_MIN
+from .contingency import ContingencyTable, negate_consequent
 from .errors import DegenerateMargin, MarginViolation, NegativeDependency, OutOfRange
 
 __all__ = [
@@ -112,11 +112,11 @@ def _evaluate(
     include_exact: bool,
 ) -> BatchRecord | Reject:
     try:
-        n, mx, ma, mxa = (int(f) for f in fields)
+        n, mx, ma, mxa = map(int, fields)
     except ValueError:
         return Reject(row_id, REASON_BAD_ROW, "expected four integer counts")
     try:
-        t = build_table(n, mx, ma, mxa)
+        t = ContingencyTable(n, mx, ma, mxa)
     except DegenerateMargin as exc:
         return Reject(row_id, REASON_DEGENERATE, str(exc))
     except MarginViolation as exc:
@@ -164,7 +164,7 @@ def _format_log(log_value: float) -> str:
     subnormals keep too few bits and deep tails underflow to 0.  Every
     log formatted here is at most ln n, so exp cannot overflow."""
     linear = math.exp(log_value)
-    if linear >= sys.float_info.min or log_value == -math.inf:
+    if linear >= _DOUBLE_MIN or log_value == -math.inf:
         return f"{linear:.6g}"
     exponent10 = log_value / _LN10
     exponent = math.floor(exponent10)
@@ -175,32 +175,34 @@ def _format_log(log_value: float) -> str:
     return f"{mantissa:.6g}e{exponent:+03d}"
 
 
-def _output_row(rec: BatchRecord) -> list[str]:
+def _output_row(rec: BatchRecord) -> list[str | int]:
+    """One output row; csv.writer prints the ints as str() would."""
     r = rec.report
     t = r.table
     s = r.stats
-    any_clamped = r.ub1.clamped or r.ub2.clamped or r.ub_k.clamped
+    chi2 = r.chi2
+    p_fisher, ub1, ub2, ubk = r.p_fisher, r.ub1, r.ub2, r.ub_k
     return [
         rec.row_id,
-        str(t.n),
-        str(t.mx),
-        str(t.ma),
-        str(t.mxa),
-        str(t.j),
+        t.n,
+        t.mx,
+        t.ma,
+        t.mxa,
+        t.j,
         format_float(s.lift),
         format_float(s.leverage),
         format_float(s.odds_ratio),
-        format_pvalue(r.p_fisher) if r.p_fisher is not None else "",
-        format_pvalue(r.ub1),
-        format_pvalue(r.ub2),
-        format_pvalue(r.ub_k),
-        str(r.k_used),
+        format_pvalue(p_fisher) if p_fisher is not None else "",
+        format_pvalue(ub1),
+        format_pvalue(ub2),
+        format_pvalue(ubk),
+        r.k_used,
         _format_log(r.log_error_bound),
-        _format_log(r.chi2.log_p),
-        format_float(r.chi2.min_expected),
-        str(int(r.guarantee_ub1)),
-        str(int(r.guarantee_ub2)),
-        str(int(any_clamped)),
+        _format_log(chi2.log_p),
+        format_float(chi2.min_expected),
+        int(r.guarantee_ub1),
+        int(r.guarantee_ub2),
+        int(ub1.clamped or ub2.clamped or ubk.clamped),
     ]
 
 

@@ -112,11 +112,9 @@ def guarantees(s: DerivedStats) -> GuaranteeFlags:
     """
     t = s.table
     margins = t.mx * t.ma
-    u = 2 * t.n * t.mxa - margins
-    return GuaranteeFlags(
-        ub1_within_p0=t.n * t.mxa >= 2 * margins,
-        ub2_within_p0=u >= 0 and u * u >= 5 * margins * margins,
-    )
+    joint = t.n * t.mxa
+    u = 2 * joint - margins
+    return GuaranteeFlags(joint >= 2 * margins, u >= 0 and u * u >= 5 * margins * margins)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,16 +161,6 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     flags = guarantees(stats)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
     return ApproxReport(
-        table=t,
-        stats=stats,
-        ub1=ub1(engine),
-        ub2=ub2_pv,
-        ub_k=ubk_pv,
-        k_used=k,
-        log_error_bound=log_err_ubk,
-        log_error_bound_ub2=log_err_ub2,
-        guarantee_ub1=flags.ub1_within_p0,
-        guarantee_ub2=flags.ub2_within_p0,
-        chi2=chi2_one_sided(t),
-        p_fisher=p_fisher,
+        t, stats, ub1(engine), ub2_pv, ubk_pv, k, log_err_ubk, log_err_ub2,
+        flags.ub1_within_p0, flags.ub2_within_p0, chi2_one_sided(t), p_fisher,
     )

@@ -77,24 +77,14 @@ def chi2_one_sided(t: ContingencyTable) -> Chi2Result:
     those products by n once, so it equals the smallest of the four
     expected counts each rounded on its own.
     """
-    d = t.delta_counts
-    numerator = t.n * d * d
-    denominator = t.mx * t.ma * (t.n - t.mx) * (t.n - t.ma)
-    statistic = numerator / denominator
+    n, mx, ma, d = t.n, t.mx, t.ma, t.delta_counts
+    mnx, mna = n - mx, n - ma
+    statistic = (n * d * d) / (mx * ma * mnx * mna)
     z = math.sqrt(statistic)
     if d < 0:
         z = -z
-    smallest_product = min(
-        t.mx * t.ma,
-        t.mx * (t.n - t.ma),
-        (t.n - t.mx) * t.ma,
-        (t.n - t.mx) * (t.n - t.ma),
-    )
+    smallest_product = min(mx * ma, mx * mna, mnx * ma, mnx * mna)
     p = normal_upper_tail(z)
     return Chi2Result(
-        statistic=statistic,
-        p_one_sided=p,
-        log_p=_log_upper_tail(z, p),
-        min_expected=smallest_product / t.n,
-        rule_of_thumb_ok=smallest_product >= 5 * t.n,
+        statistic, p, _log_upper_tail(z, p), smallest_product / n, smallest_product >= 5 * n
     )

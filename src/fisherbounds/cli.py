@@ -5,8 +5,8 @@ range, CSV out), reproduce-tables (check against the embedded
 reference grid), rank-agreement (compare orderings from a batch file),
 bench (O(1) bounds vs O(J) exact timing).
 
-Exit codes: 0 success, 1 usage error, 2 validation or data failure,
-3 reference-grid check failure.
+Exit codes: 0 success (also when stdout's reader has gone), 1 usage
+error, 2 validation or data failure, 3 reference-grid check failure.
 """
 
 from __future__ import annotations
@@ -305,7 +305,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone, as under `| head`: point stdout at the
+        # null device so the exit-time flush cannot fail again, and end quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -10,7 +10,7 @@ bounds, the chi-square baseline) consumes these tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateMargin, MarginViolation
 
@@ -27,11 +27,19 @@ __all__ = [
 class ContingencyTable:
     """Counts of a 2x2 table: n rows, margins mx and ma, joint count mxa.
 
-    The remaining cells are exposed as properties:
+    The remaining cells are computed once at construction:
 
         mxna  = m(X, not A)      = mx - mxa
         mnxa  = m(not X, A)      = ma - mxa
         mnxna = m(not X, not A)  = n - mx - ma + mxa
+
+    and so are delta_counts = n*mxa - mx*ma, the leverage scaled by n**2,
+    and j = min(mxna, mnxa), the number of tables more extreme than this
+    one.  delta_counts is an exact integer whose sign classifies the
+    dependency, so every sign decision in the package compares it
+    against 0 rather than a rounded float; it also equals
+    mxa*mnxna - mxna*mnxa.  Equality, hashing and repr use the four
+    counts alone.
 
     Margins must be non-degenerate (0 < mx < n, 0 < ma < n) and mxa must
     lie inside the Frechet bounds max(0, mx + ma - n) <= mxa <= min(mx, ma).
@@ -43,6 +51,11 @@ class ContingencyTable:
     mx: int
     ma: int
     mxa: int
+    mxna: int = field(init=False, repr=False, compare=False)
+    mnxa: int = field(init=False, repr=False, compare=False)
+    mnxna: int = field(init=False, repr=False, compare=False)
+    delta_counts: int = field(init=False, repr=False, compare=False)
+    j: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, mx, ma, mxa = self.n, self.mx, self.ma, self.mxa
@@ -59,39 +72,19 @@ class ContingencyTable:
             raise MarginViolation(
                 f"mxa={mxa} outside [{lo}, {hi}] for n={n}, mx={mx}, ma={ma}"
             )
-
-    @property
-    def mxna(self) -> int:
-        return self.mx - self.mxa
-
-    @property
-    def mnxa(self) -> int:
-        return self.ma - self.mxa
-
-    @property
-    def mnxna(self) -> int:
-        return self.n - self.mx - self.ma + self.mxa
-
-    @property
-    def delta_counts(self) -> int:
-        """n*mxa - mx*ma, the leverage scaled by n**2.
-
-        An exact integer; its sign classifies the dependency, so every
-        sign decision in the package compares this against 0 rather than
-        a rounded float.  It also equals mxa*mnxna - mxna*mnxa.
-        """
-        return self.n * self.mxa - self.mx * self.ma
+        mnxa = ma - mxa
+        store = object.__setattr__
+        store(self, "mxna", mx - mxa)
+        store(self, "mnxa", mnxa)
+        store(self, "mnxna", n - mx - mnxa)
+        store(self, "delta_counts", n * mxa - mx * ma)
+        store(self, "j", hi - mxa)
 
     @property
     def positive_dependency(self) -> bool:
         """Exact integer sign test of the leverage; every bound and the
         exact tail need it, and make_term_engine refuses a table without it."""
         return self.delta_counts > 0
-
-    @property
-    def j(self) -> int:
-        """Number of tables more extreme than the observed one: min(mxna, mnxa)."""
-        return (self.mx if self.mx < self.ma else self.ma) - self.mxa
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,15 +117,10 @@ def derive_stats(t: ContingencyTable) -> DerivedStats:
     Ratios are taken as single float divisions of exact integer
     products, so each value carries one rounding step.
     """
-    n = t.n
+    n, mxa = t.n, t.mxa
     off_diagonal = t.mxna * t.mnxa
-    odds = (t.mxa * t.mnxna) / off_diagonal if off_diagonal else math.inf
-    return DerivedStats(
-        table=t,
-        lift=(n * t.mxa) / (t.mx * t.ma),
-        leverage=t.delta_counts / (n * n),
-        odds_ratio=odds,
-    )
+    odds = (mxa * t.mnxna) / off_diagonal if off_diagonal else math.inf
+    return DerivedStats(t, (n * mxa) / (t.mx * t.ma), t.delta_counts / (n * n), odds)
 
 
 def _smallest_admissible(t: ContingencyTable) -> str:

@@ -115,12 +115,13 @@ def make_term_engine(t: ContingencyTable) -> TermEngine:
     = -ln C(n, ma) exactly.  Written out straight-line because engine
     builds dominate a screen of many small tables.
     """
-    if not t.positive_dependency:
+    if t.delta_counts <= 0:
         raise NegativeDependency(f"leverage numerator {t.delta_counts} is not positive")
-    if t.n > _MAX_N:
+    n = t.n
+    if n > _MAX_N:
         raise OutOfRange("counts too large for double-precision arithmetic")
     lg = math.lgamma
-    n, mx, ma, mxa = t.n, t.mx, t.ma, t.mxa
+    mx, ma, mxa = t.mx, t.ma, t.mxa
     mxna, mnxa, mnxna = t.mxna, t.mnxa, t.mnxna
     log_pabs = -(lg(n + 1) - (lg(ma + 1) + lg(n - ma + 1)))
     log_p0 = (

@@ -60,19 +60,31 @@ def rows_from_batch_csv(path: str) -> list[RankedRow]:
     """Ranked rows read back from a batch output file by batch's reader.
 
     A row that is not a full batch output row (a truncated file, a stray
-    quote) is an error naming the row and the file.
+    quote) is an error naming the row and the file, and so is a value
+    that is not a number, which also names its column.  Rankings key on
+    the row id, so an id that appears twice is an error too.
     """
     rows = _read_rows(path)
     if next(rows) != OUTPUT_HEADER:
         raise ValueError(f"not a batch output file: {path}")
     ranked = []
+    seen = set()
     for row_id, fields in rows:
         if len(fields) != len(OUTPUT_HEADER) - 1:
             raise ValueError(f"row {row_id} of {path} is not a full batch output row")
+        if row_id in seen:
+            raise ValueError(f"row id {row_id} appears twice in {path}")
+        seen.add(row_id)
         row = dict(zip(OUTPUT_HEADER[1:], fields))
         if not row["p_fisher"]:
             raise ValueError("input lacks exact values; regenerate it without --no-exact")
-        ranked.append(RankedRow(row_id, {m: _log10_key(row[m]) for m in MEASURES}))
+        keys = {}
+        for m in MEASURES:
+            try:
+                keys[m] = _log10_key(row[m])
+            except ValueError as exc:
+                raise ValueError(f"row {row_id} of {path}, column {m}: {exc}") from None
+        ranked.append(RankedRow(row_id, keys))
     return ranked
 
 

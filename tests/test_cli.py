@@ -324,6 +324,32 @@ class TestRankAgreement:
             f"error: row {row_id} of {batch_file} is not a full batch output row\n"
         )
 
+    def test_repeated_id_exits_two_naming_it(self, tmp_path, capsys):
+        # rankings key on the id: with ids a, a, b, c these rows read
+        # spearman 0.134840 where a, d, b, c read 1.000000
+        in_path = tmp_path / "in.csv"
+        rows = [f"{rid},1000,200,250,{mxa}" for rid, mxa in zip("aabc", (60, 80, 70, 65))]
+        in_path.write_text("id,n,mx,ma,mxa\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out_path = tmp_path / "batch.csv"
+        assert main(["batch", str(in_path), "--out", str(out_path)]) == EXIT_OK
+        assert main(["rank-agreement", str(out_path), "--top", "2"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: row id a appears twice in {out_path}\n"
+
+    def test_bad_number_exits_two_naming_row_column_and_file(self, batch_file, capsys):
+        header, first, *rest = batch_file.read_text(encoding="utf-8").splitlines()
+        fields = first.split(",")
+        fields[OUTPUT_HEADER.index("p_fisher")] = "abc"
+        batch_file.write_text("\n".join([header, ",".join(fields), *rest]) + "\n", encoding="utf-8")
+        assert main(["rank-agreement", str(batch_file)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: row {fields[0]} of {batch_file}, column p_fisher:"
+            " could not convert string to float: 'abc'\n"
+        )
+
     def test_byte_order_mark_gives_the_same_report(self, batch_file, tmp_path, capsys):
         bom_file = tmp_path / "bom.csv"
         bom_file.write_bytes(b"\xef\xbb\xbf" + batch_file.read_bytes())
@@ -377,6 +403,21 @@ class TestTopLevel:
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_closed_stdout_pipe_exits_zero_quietly(self, monkeypatch, capsys):
+        # a pipe whose reader has gone, as under `| head`; line buffering
+        # makes the first printed line raise BrokenPipeError on write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        closed = os.fdopen(write_end, "w", buffering=1)
+        monkeypatch.setattr(sys, "stdout", closed)
+        try:
+            assert main(["eval", "1000", "200", "250", "60"]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            # stdout now leads to the null device, so a later flush succeeds
+            print("more", file=closed)
+        finally:
+            closed.close()
 
     def test_module_execution(self):
         # the child finds the package where this process did, installed or not

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -57,6 +58,33 @@ class TestBuildTable:
         t = build_table(10, 4, 7, 2)
         with pytest.raises(AttributeError):
             t.mxa = 3
+
+
+class TestStoredCells:
+    """The derived cells are computed at construction and stored beside
+    the four counts, which alone decide equality, hashing and repr."""
+
+    def test_equals_and_hashes_like_a_fresh_table(self):
+        t = build_table(1000, 200, 250, 60)
+        fresh = build_table(1000, 200, 250, 60)
+        assert t == fresh
+        assert hash(t) == hash(fresh)
+        assert t != build_table(1000, 200, 250, 61)
+
+    def test_repr_shows_the_four_counts(self):
+        assert repr(build_table(10, 4, 7, 2)) == "ContingencyTable(n=10, mx=4, ma=7, mxa=2)"
+
+    def test_replace_recomputes_every_cell(self):
+        moved = dataclasses.replace(build_table(1000, 200, 250, 60), mxa=70)
+        assert (moved.mxna, moved.mnxa, moved.mnxna) == (130, 180, 620)
+        assert moved.delta_counts == 1000 * 70 - 200 * 250
+        assert moved.j == 130
+
+    def test_stored_cell_cannot_be_assigned(self):
+        t = build_table(10, 4, 7, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.mnxna = 0
+        assert t.mnxna == 1
 
 
 class TestDerivedCells:
