@@ -9,27 +9,55 @@ carries guarantees that make the approximation error checkable from
 the table's counts alone.
 
 Each module's __all__ is the one list of its public names; the package
-exports their union.
+exports their union.  Importing the package loads none of its modules:
+a name resolves on first use, from the module whose __all__ declares
+it, and is then bound here, so later lookups are plain attribute reads.
+Loading a module by any route binds all of its public names at once.
 """
 
-from . import batch, bench, bounds, chi2, contingency, errors, exact, ranking, reftables, sweep
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-# built before the star imports, which rebind the name ranking to the function
-__all__ = ["__version__"] + [
-    name
-    for module in (batch, bench, bounds, chi2, contingency, errors, exact, ranking, reftables, sweep)
-    for name in module.__all__
-]
+# searched in this order for a name not yet bound, so each module loads
+# after the modules it imports
+_MODULES = (
+    "contingency", "errors", "exact", "chi2", "bounds", "batch",
+    "bench", "ranking", "reftables", "sweep",
+)
 
-from .batch import *  # noqa: E402, F403
-from .bench import *  # noqa: E402, F403
-from .bounds import *  # noqa: E402, F403
-from .chi2 import *  # noqa: E402, F403
-from .contingency import *  # noqa: E402, F403
-from .errors import *  # noqa: E402, F403
-from .exact import *  # noqa: E402, F403
-from .ranking import *  # noqa: E402, F403
-from .reftables import *  # noqa: E402, F403
-from .sweep import *  # noqa: E402, F403
+
+def __getattr__(name: str):
+    if name == "__all__":
+        names = ["__version__"] + [
+            public
+            for module in sorted(_MODULES)
+            for public in _import_module(f"{__name__}.{module}").__all__
+        ]
+        globals()["__all__"] = names
+        return names
+    for module in _MODULES:
+        loaded = _import_module(f"{__name__}.{module}")
+        if name in loaded.__all__:
+            return getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_sys.modules[__name__].__all__})
+
+
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in _MODULES:
+            # the import system binds each submodule here once it has run;
+            # its public names follow, so ranking, which names both a
+            # module and its function, stays the function
+            for public in value.__all__:
+                super().__setattr__(public, getattr(value, public))
+
+
+_sys.modules[__name__].__class__ = _Package

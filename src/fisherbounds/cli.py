@@ -5,6 +5,9 @@ range, CSV out), reproduce-tables (check against the embedded
 reference grid), rank-agreement (compare orderings from a batch file),
 bench (O(1) bounds vs O(J) exact timing).
 
+Each handler imports the modules only it uses, so a command loads
+nothing it does not run.
+
 Exit codes: 0 success (also when stdout's reader has gone), 1 usage
 error, 2 validation or data failure, 3 reference-grid check failure.
 """
@@ -27,21 +30,9 @@ from .batch import (
     run_batch,
     write_batch_csv,
 )
-from .bench import (
-    DEFAULT_REPETITIONS,
-    DEFAULT_SIZES,
-    MEASURE_NAMES,
-    bounds_flat_within,
-    exact_grows,
-    large_scale_terms,
-    run_bench,
-)
 from .bounds import _require_extra_k, report
 from .contingency import _smallest_admissible, build_table, negate_consequent
 from .errors import NegativeDependency
-from .ranking import rank_agreement, rows_from_batch_csv
-from .reftables import STATUS_ANNOTATED, STATUS_FAIL, check_rows
-from .sweep import SweepSpec, run_sweep, write_sweep_csv
 
 __all__ = ["main", "entry", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_REPRODUCTION"]
 
@@ -122,12 +113,8 @@ def _build_parser() -> _Parser:
     p_rank.set_defaults(handler=_cmd_rank_agreement)
 
     p_bench = sub.add_parser("bench", help="time the bounds against the exact tail")
-    p_bench.add_argument(
-        "--sizes",
-        default=",".join(str(s) for s in DEFAULT_SIZES),
-        help="comma-separated data sizes",
-    )
-    p_bench.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS)
+    p_bench.add_argument("--sizes", help="comma-separated data sizes")
+    p_bench.add_argument("--reps", type=int)
     p_bench.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -218,6 +205,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, run_sweep, write_sweep_csv
+
     spec = SweepSpec(
         args.n,
         args.mx,
@@ -234,6 +223,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reftables import STATUS_ANNOTATED, STATUS_FAIL, check_rows
+
     checks = check_rows(tolerance=args.tolerance, case=args.case)
     failed = 0
     annotated = 0
@@ -260,6 +251,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_rank_agreement(args) -> int:
+    from .ranking import rank_agreement, rows_from_batch_csv
+
     rows = rows_from_batch_csv(args.input)
     agreement = rank_agreement(rows, args.top)
     print(f"rows = {agreement.row_count}")
@@ -273,11 +266,24 @@ def _cmd_rank_agreement(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-    except ValueError:
-        raise ValueError(f"--sizes expects comma-separated integers, got {args.sizes!r}")
-    results = run_bench(sizes, args.reps)
+    from .bench import (
+        DEFAULT_REPETITIONS,
+        DEFAULT_SIZES,
+        MEASURE_NAMES,
+        bounds_flat_within,
+        exact_grows,
+        large_scale_terms,
+        run_bench,
+    )
+
+    sizes = DEFAULT_SIZES
+    if args.sizes is not None:
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
+        except ValueError:
+            raise ValueError(f"--sizes expects comma-separated integers, got {args.sizes!r}")
+    reps = DEFAULT_REPETITIONS if args.reps is None else args.reps
+    results = run_bench(sizes, reps)
     if not results:
         return EXIT_OK
     header = f"{'n':>10} {'j':>8} {'terms':>8}" + "".join(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .contingency import ContingencyTable
 from .errors import CapacityExceeded, NegativeDependency, OutOfRange
@@ -296,6 +295,8 @@ def exact_fisher_oracle(t: ContingencyTable, cap: int = ORACLE_CAP) -> Fraction:
     q_i path, so agreement between the two is a genuine cross-check.
     Cost grows quickly with n; the cap keeps requests honest.
     """
+    from fractions import Fraction  # loaded here: only the oracle uses it
+
     if t.n > cap:
         raise CapacityExceeded(f"n={t.n} above oracle cap {cap}")
     mnx = t.n - t.mx

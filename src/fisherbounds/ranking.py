@@ -43,17 +43,18 @@ def _log10_key(field: str) -> float:
 
     Values too small for doubles are serialized as mantissa/exponent
     text; splitting on the exponent marker keeps their order instead of
-    collapsing them to zero through float parsing.
+    collapsing them to zero through float parsing.  A value outside
+    [0, 1], nan included, is not a probability and is refused.
     """
     text = field.strip()
     if not text:
         raise ValueError("missing value")
     mantissa, sep, exponent = text.partition("e")
-    if sep:
-        m = float(mantissa)
-        return math.log10(m) + int(exponent) if m > 0.0 else -math.inf
-    value = float(text)
-    return math.log10(value) if value > 0.0 else -math.inf
+    m, shift = (float(mantissa), int(exponent)) if sep else (float(text), 0)
+    key = math.log10(m) + shift if m > 0.0 else -math.inf
+    if not (m >= 0.0 and key <= 0.0):
+        raise ValueError(f"{text} is not a probability")
+    return key
 
 
 def rows_from_batch_csv(path: str) -> list[RankedRow]:

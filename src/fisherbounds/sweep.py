@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .batch import format_float, format_pvalue
-from .bounds import _require_extra_k, report, ub_k
+from .bounds import _require_extra_k, report
 from .contingency import ContingencyTable, _smallest_admissible, build_table
-from .errors import NegativeDependency
-from .exact import PValue, make_term_engine
+from .errors import InvalidK, NegativeDependency
+from .exact import PValue
 
 __all__ = ["SweepSpec", "SweepPoint", "run_sweep", "sweep_header", "write_sweep_csv"]
 
@@ -25,9 +25,10 @@ __all__ = ["SweepSpec", "SweepPoint", "run_sweep", "sweep_header", "write_sweep_
 class SweepSpec:
     """A validated sweep request.
 
-    ks lists the extra bound orders to evaluate alongside ub1 and ub2;
-    each must be at least 3 because orders 1 and 2 already have their
-    own columns.  include_exact=False drops the exact column for speed.
+    ks holds the one extra bound order to evaluate alongside ub1 and
+    ub2; it must be at least 3 because orders 1 and 2 already have
+    their own columns.  include_exact=False drops the exact column for
+    speed.
     """
 
     n: int
@@ -43,8 +44,9 @@ class SweepSpec:
             raise ValueError(
                 f"empty sweep: mxa_lo={self.mxa_lo} exceeds mxa_hi={self.mxa_hi}"
             )
-        for k in self.ks:
-            _require_extra_k(k)
+        if len(self.ks) != 1:
+            raise InvalidK(f"a sweep takes exactly one extra bound order, got {self.ks!r}")
+        _require_extra_k(self.ks[0])
         lo = build_table(self.n, self.mx, self.ma, self.mxa_lo)
         build_table(self.n, self.mx, self.ma, self.mxa_hi)
         if not lo.positive_dependency:
@@ -72,15 +74,11 @@ class SweepPoint:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
-    """One report per overlap at the first order in ks, plus ub_k for the rest."""
-    ks = spec.ks
+    """One report per overlap at the order in ks."""
+    (k,) = spec.ks
     points = []
     for t in spec.tables():
-        rep = report(t, k=ks[0] if ks else 1, include_exact=spec.include_exact)
-        ub_ks = dict.fromkeys(ks[:1], rep.ub_k)
-        if len(ks) > 1:
-            engine = make_term_engine(t)
-            ub_ks.update((k, ub_k(engine, k)) for k in ks[1:])
+        rep = report(t, k=k, include_exact=spec.include_exact)
         s = rep.stats
         points.append(
             SweepPoint(
@@ -92,7 +90,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
                 p_fisher=rep.p_fisher,
                 ub1=rep.ub1,
                 ub2=rep.ub2,
-                ub_ks=ub_ks,
+                ub_ks={k: rep.ub_k},
             )
         )
     return points
@@ -101,7 +99,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
 def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
     return (
         "mxa", "j", "terms", "lift", "leverage", "odds",
-        "p_fisher", "ub1", "ub2", *(f"ub{k}" for k in spec.ks),
+        "p_fisher", "ub1", "ub2", f"ub{spec.ks[0]}",
     )
 
 
@@ -120,6 +118,6 @@ def write_sweep_csv(out: IO[str], spec: SweepSpec, points: list[SweepPoint]) -> 
                 format_pvalue(p.p_fisher) if p.p_fisher is not None else "",
                 format_pvalue(p.ub1),
                 format_pvalue(p.ub2),
-                *(format_pvalue(p.ub_ks[k]) for k in spec.ks),
+                format_pvalue(p.ub_ks[spec.ks[0]]),
             ]
         )

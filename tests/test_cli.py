@@ -350,6 +350,30 @@ class TestRankAgreement:
             " could not convert string to float: 'abc'\n"
         )
 
+    @pytest.mark.parametrize("bad", ["nan", "-1", "1.5", "-1e-5"])
+    def test_value_that_is_not_a_probability_exits_two(self, bad, tmp_path, capsys):
+        # with nan on row a and -1 on row b these rows read top_overlap
+        # 0.5000 and spearman -0.200000 where the true values read 1.0000
+        # and 1.000000
+        in_path = tmp_path / "in.csv"
+        rows = [f"{rid},1000,200,250,{mxa}" for rid, mxa in zip("abcd", (60, 80, 70, 65))]
+        in_path.write_text("id,n,mx,ma,mxa\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out_path = tmp_path / "batch.csv"
+        assert main(["batch", str(in_path), "--out", str(out_path)]) == EXIT_OK
+        header, *lines = out_path.read_text(encoding="utf-8").splitlines()
+        column = OUTPUT_HEADER.index("p_fisher")
+        for i, value in ((0, bad), (1, "-1")):
+            fields = lines[i].split(",")
+            fields[column] = value
+            lines[i] = ",".join(fields)
+        out_path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        assert main(["rank-agreement", str(out_path), "--top", "2"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: row a of {out_path}, column p_fisher: {bad} is not a probability\n"
+        )
+
     def test_byte_order_mark_gives_the_same_report(self, batch_file, tmp_path, capsys):
         bom_file = tmp_path / "bom.csv"
         bom_file.write_bytes(b"\xef\xbb\xbf" + batch_file.read_bytes())

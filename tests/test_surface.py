@@ -55,3 +55,68 @@ def test_import_loads_no_thread_pool_or_logging():
         timeout=60,
     )
     assert done.stdout.strip() == "[]"
+
+
+# what only the commands that need them load: the timing harness, the
+# rank analysis, the reference grid, sweeps, and the standard modules
+# the oracle, the rank correlation and the harness bring in
+HEAVY = {
+    "fisherbounds.bench", "fisherbounds.ranking", "fisherbounds.reftables",
+    "fisherbounds.sweep", "fractions", "statistics", "timeit",
+}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds once code has run."""
+    probe = f"{code}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)"
+    src = os.path.dirname(os.path.dirname(fisherbounds.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return set(done.stderr.split())
+
+
+def _modules_after_command(*argv: str) -> set[str]:
+    """The modules `python -m fisherbounds ARGV...` holds once it has run."""
+    return _modules_after(
+        f"import runpy, sys\nsys.argv[1:] = {list(argv)!r}\ntry:\n"
+        "    runpy.run_module('fisherbounds', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+
+
+def test_import_loads_no_submodule():
+    loaded = _modules_after("import fisherbounds")
+    assert "fisherbounds" in loaded
+    assert sorted(m for m in loaded if m.startswith("fisherbounds.")) == []
+
+
+def test_term_engine_loads_only_what_it_uses():
+    loaded = _modules_after(
+        "import fisherbounds\n"
+        "fisherbounds.make_term_engine(fisherbounds.build_table(1000, 200, 250, 60))"
+    )
+    assert "fisherbounds.exact" in loaded
+    assert sorted((HEAVY | {"fisherbounds.batch"}) & loaded) == []
+
+
+def test_eval_command_loads_only_what_it_uses():
+    loaded = _modules_after_command("eval", "1000", "200", "250", "60")
+    assert "fisherbounds.cli" in loaded
+    assert sorted(HEAVY & loaded) == []
+
+
+def test_batch_command_loads_only_what_it_uses(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "id,n,mx,ma,mxa\na,1000,200,250,60\nb,5000,2500,2500,1600\n", encoding="utf-8"
+    )
+    loaded = _modules_after_command("batch", str(path), "--out", str(tmp_path / "o.csv"))
+    assert "fisherbounds.batch" in loaded
+    assert sorted(HEAVY & loaded) == []

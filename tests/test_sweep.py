@@ -34,6 +34,11 @@ class TestSweepSpec:
         with pytest.raises(InvalidK, match="orders 1 and 2 are always included"):
             SweepSpec(1000, 200, 250, 55, 60, ks=(bad,))
 
+    @pytest.mark.parametrize("ks", [(3, 5), (3, 5, 8), ()])
+    def test_anything_but_one_order_is_refused(self, ks):
+        with pytest.raises(InvalidK, match="exactly one extra bound order"):
+            SweepSpec(1000, 200, 250, 55, 60, ks=ks)
+
     def test_endpoints_are_validated_as_tables(self):
         with pytest.raises(MarginViolation):
             SweepSpec(1000, 200, 250, 55, 201)
@@ -91,25 +96,25 @@ class TestRunSweep:
         assert all(p.ub1.linear_value > 0 for p in points)
 
     def test_requested_orders_are_all_present(self):
-        points = run_sweep(SweepSpec(1000, 200, 250, 60, 60, ks=(3, 5, 8)))
-        assert set(points[0].ub_ks) == {3, 5, 8}
+        points = run_sweep(SweepSpec(1000, 200, 250, 60, 60, ks=(8,)))
+        assert set(points[0].ub_ks) == {8}
 
     def test_points_match_report_and_ub_k(self):
-        spec = SweepSpec(1000, 200, 250, 58, 60, ks=(4, 7))
+        spec = SweepSpec(1000, 200, 250, 58, 60, ks=(7,))
         for p in run_sweep(spec):
-            rep = report(p.table, k=4)
+            rep = report(p.table, k=7)
             engine = make_term_engine(p.table)
             assert p.p_fisher == rep.p_fisher
-            assert (p.ub1, p.ub2, p.ub_ks[4]) == (rep.ub1, rep.ub2, rep.ub_k)
+            assert (p.ub1, p.ub2, p.ub_ks[7]) == (rep.ub1, rep.ub2, rep.ub_k)
             assert p.ub_ks[7] == ub_k(engine, 7)
 
 
 class TestWriteSweepCsv:
     def test_header_tracks_the_requested_orders(self):
-        spec = SweepSpec(1000, 200, 250, 60, 60, ks=(3, 5))
+        spec = SweepSpec(1000, 200, 250, 60, 60, ks=(5,))
         assert sweep_header(spec) == (
             "mxa", "j", "terms", "lift", "leverage", "odds",
-            "p_fisher", "ub1", "ub2", "ub3", "ub5",
+            "p_fisher", "ub1", "ub2", "ub5",
         )
 
     def test_rows_mirror_the_points(self):
