@@ -179,9 +179,8 @@ def _output_row(rec: BatchRecord) -> list[str | int]:
     """One output row; csv.writer prints the ints as str() would."""
     r = rec.report
     t = r.table
-    s = r.stats
     chi2 = r.chi2
-    p_fisher, ub1, ub2, ubk = r.p_fisher, r.ub1, r.ub2, r.ub_k
+    p_fisher = r.p_fisher
     return [
         rec.row_id,
         t.n,
@@ -189,20 +188,20 @@ def _output_row(rec: BatchRecord) -> list[str | int]:
         t.ma,
         t.mxa,
         t.j,
-        format_float(s.lift),
-        format_float(s.leverage),
-        format_float(s.odds_ratio),
+        format_float(r.lift),
+        format_float(r.leverage),
+        format_float(r.odds_ratio),
         format_pvalue(p_fisher) if p_fisher is not None else "",
-        format_pvalue(ub1),
-        format_pvalue(ub2),
-        format_pvalue(ubk),
+        format_pvalue(r.ub1),
+        format_pvalue(r.ub2),
+        format_pvalue(r.ub_k),
         r.k_used,
         _format_log(r.log_error_bound),
         _format_log(chi2.log_p),
         format_float(chi2.min_expected),
         int(r.guarantee_ub1),
         int(r.guarantee_ub2),
-        int(ub1.clamped or ub2.clamped or ubk.clamped),
+        int(r.clamped),
     ]
 
 

@@ -119,19 +119,21 @@ def guarantees(s: DerivedStats) -> GuaranteeFlags:
 
 @dataclass(frozen=True, slots=True)
 class ApproxReport:
-    """Everything a batch row needs, bundled per table.
+    """The one per-table record that eval, batch and sweep print.
 
-    p_fisher is the exact value from the certified early-stopping sum,
-    equal bit for bit to the full O(J) sum, and None when skipped; all
-    other fields are constant-time.  log_error_bound and
-    log_error_bound_ub2 are the logs of the error ceilings of ub_k and
-    ub2, -inf once no tail is left.  The ceiling on ub_k - p_F is
-    p_0 q_k^2 / (1 - q_k), scaled by p_0 although the approximated tail
-    begins only at term k - 1, which keeps it loose.
+    lift, leverage and odds_ratio are derive_stats's.  p_fisher, the one
+    field that is not constant-time, is the certified early-stopping
+    sum, equal bit for bit to the full O(J) sum, or None when skipped.
+    log_error_bound and log_error_bound_ub2 are the logs of the error
+    ceilings of ub_k and ub2, -inf once no tail is left.  The ceiling on
+    ub_k - p_F is p_0 q_k^2 / (1 - q_k), scaled by p_0 although the
+    approximated tail begins only at term k - 1, which keeps it loose.
     """
 
     table: ContingencyTable
-    stats: DerivedStats
+    lift: float
+    leverage: float
+    odds_ratio: float
     ub1: PValue
     ub2: PValue
     ub_k: PValue
@@ -142,6 +144,16 @@ class ApproxReport:
     guarantee_ub2: bool
     chi2: Chi2Result
     p_fisher: PValue | None
+
+    @property
+    def terms(self) -> int:
+        """J + 1, the terms of the full exact sum."""
+        return self.table.j + 1
+
+    @property
+    def clamped(self) -> bool:
+        """Whether any of ub1, ub2 and ub_k exceeded 1 and prints as 1."""
+        return self.ub1.clamped or self.ub2.clamped or self.ub_k.clamped
 
 
 def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> ApproxReport:
@@ -157,10 +169,11 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     """
     engine = make_term_engine(t)
     _require_k(k)
-    stats = derive_stats(t)
-    flags = guarantees(stats)
+    s = derive_stats(t)
+    flags = guarantees(s)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
     return ApproxReport(
-        t, stats, ub1(engine), ub2_pv, ubk_pv, k, log_err_ubk, log_err_ub2,
-        flags.ub1_within_p0, flags.ub2_within_p0, chi2_one_sided(t), p_fisher,
+        t, s.lift, s.leverage, s.odds_ratio, ub1(engine), ub2_pv, ubk_pv, k,
+        log_err_ubk, log_err_ub2, flags.ub1_within_p0, flags.ub2_within_p0,
+        chi2_one_sided(t), p_fisher,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from itertools import combinations
@@ -48,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    """A finite number >= 0; nan would fail every check and inf pass every one."""
+    value = float(text)
+    if 0.0 <= value < math.inf:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -101,7 +110,7 @@ def _build_parser() -> _Parser:
         "--case", type=int, choices=(1, 2, 3), help="restrict to one margin case"
     )
     p_repro.add_argument(
-        "--tolerance", type=float, help="override every per-column tolerance"
+        "--tolerance", type=_tolerance, help="override every per-column tolerance"
     )
     p_repro.set_defaults(handler=_cmd_reproduce)
 
@@ -138,17 +147,16 @@ def _cmd_eval(args) -> int:
             " --negate tests the opposite direction"
         )
     rep = report(t, k=args.k, include_exact=not args.no_exact)
-    s = rep.stats
     lines = [
         ("n", str(t.n)),
         ("mx", str(t.mx)),
         ("ma", str(t.ma)),
         ("mxa", str(t.mxa)),
         ("j", str(t.j)),
-        ("terms", str(t.j + 1)),
-        ("lift", format_float(s.lift)),
-        ("leverage", format_float(s.leverage)),
-        ("odds", format_float(s.odds_ratio)),
+        ("terms", str(rep.terms)),
+        ("lift", format_float(rep.lift)),
+        ("leverage", format_float(rep.leverage)),
+        ("odds", format_float(rep.odds_ratio)),
     ]
     if rep.p_fisher is not None:
         lines.append(("p_fisher", format_pvalue(rep.p_fisher)))
@@ -164,10 +172,7 @@ def _cmd_eval(args) -> int:
         ("rule_of_thumb_ok", str(rep.chi2.rule_of_thumb_ok).lower()),
         ("guarantee_ub1", str(rep.guarantee_ub1).lower()),
         ("guarantee_ub2", str(rep.guarantee_ub2).lower()),
-        (
-            "clamped",
-            str(rep.ub1.clamped or rep.ub2.clamped or rep.ub_k.clamped).lower(),
-        ),
+        ("clamped", str(rep.clamped).lower()),
     ]
     for key, value in lines:
         print(f"{key} = {value}")
@@ -205,7 +210,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SweepSpec, run_sweep, write_sweep_csv
+    from .sweep import SweepSpec, _reports, write_sweep_csv
 
     spec = SweepSpec(
         args.n,
@@ -216,9 +221,8 @@ def _cmd_sweep(args) -> int:
         ks=(args.k,),
         include_exact=not args.no_exact,
     )
-    points = run_sweep(spec)
     with _open_csv(args.out, sys.stdout) as out:
-        write_sweep_csv(out, spec, points)
+        write_sweep_csv(out, spec, _reports(spec))
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Overlap sweeps: fixed margins, a range of overlap counts.
 
 A sweep walks mxa over [mxa_lo, mxa_hi] with n, mx, ma held fixed and
-evaluates report at each point, so values print as in batch.  This is
+evaluates report at each point, so values print as in batch.  The
+command writes each report as it is made, in constant memory.  This is
 the shape of a convergence study: as the overlap count grows past
 independence, every bound closes onto the exact value from above.
 """
@@ -10,15 +11,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from .batch import format_float, format_pvalue
-from .bounds import _require_extra_k, report
+from .bounds import ApproxReport, _require_extra_k, report
 from .contingency import ContingencyTable, _smallest_admissible, build_table
 from .errors import InvalidK, NegativeDependency
-from .exact import PValue
+from .exact import make_term_engine
 
-__all__ = ["SweepSpec", "SweepPoint", "run_sweep", "sweep_header", "write_sweep_csv"]
+__all__ = ["SweepSpec", "run_sweep", "sweep_header", "write_sweep_csv"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,51 +50,31 @@ class SweepSpec:
         _require_extra_k(self.ks[0])
         lo = build_table(self.n, self.mx, self.ma, self.mxa_lo)
         build_table(self.n, self.mx, self.ma, self.mxa_hi)
-        if not lo.positive_dependency:
+        # every overlap above lo has the same n and a larger leverage, so
+        # the engine that accepts lo accepts every point before output starts
+        try:
+            make_term_engine(lo)
+        except NegativeDependency:
             raise NegativeDependency(
                 f"mxa={self.mxa_lo} gives no positive dependency for"
                 f" n={self.n}, mx={self.mx}, ma={self.ma}; {_smallest_admissible(lo)}"
-            )
+            ) from None
 
     def tables(self) -> Iterator[ContingencyTable]:
         for mxa in range(self.mxa_lo, self.mxa_hi + 1):
             yield build_table(self.n, self.mx, self.ma, mxa)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPoint:
-    table: ContingencyTable
-    lift: float
-    leverage: float
-    odds_ratio: float
-    terms: int
-    p_fisher: PValue | None
-    ub1: PValue
-    ub2: PValue
-    ub_ks: dict[int, PValue]
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepPoint]:
-    """One report per overlap at the order in ks."""
+def _reports(spec: SweepSpec) -> Iterator[ApproxReport]:
+    """One report per overlap at the order in ks, made as it is consumed."""
     (k,) = spec.ks
-    points = []
     for t in spec.tables():
-        rep = report(t, k=k, include_exact=spec.include_exact)
-        s = rep.stats
-        points.append(
-            SweepPoint(
-                table=t,
-                lift=s.lift,
-                leverage=s.leverage,
-                odds_ratio=s.odds_ratio,
-                terms=t.j + 1,
-                p_fisher=rep.p_fisher,
-                ub1=rep.ub1,
-                ub2=rep.ub2,
-                ub_ks={k: rep.ub_k},
-            )
-        )
-    return points
+        yield report(t, k=k, include_exact=spec.include_exact)
+
+
+def run_sweep(spec: SweepSpec) -> list[ApproxReport]:
+    """One report per overlap at the order in ks, in overlap order."""
+    return list(_reports(spec))
 
 
 def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
@@ -103,21 +84,22 @@ def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
     )
 
 
-def write_sweep_csv(out: IO[str], spec: SweepSpec, points: list[SweepPoint]) -> None:
+def write_sweep_csv(out: IO[str], spec: SweepSpec, reports: Iterable[ApproxReport]) -> None:
+    """Write the header, then each report as it arrives."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(sweep_header(spec))
-    for p in points:
+    for r in reports:
         writer.writerow(
             [
-                str(p.table.mxa),
-                str(p.table.j),
-                str(p.terms),
-                format_float(p.lift),
-                format_float(p.leverage),
-                format_float(p.odds_ratio),
-                format_pvalue(p.p_fisher) if p.p_fisher is not None else "",
-                format_pvalue(p.ub1),
-                format_pvalue(p.ub2),
-                format_pvalue(p.ub_ks[spec.ks[0]]),
+                str(r.table.mxa),
+                str(r.table.j),
+                str(r.terms),
+                format_float(r.lift),
+                format_float(r.leverage),
+                format_float(r.odds_ratio),
+                format_pvalue(r.p_fisher) if r.p_fisher is not None else "",
+                format_pvalue(r.ub1),
+                format_pvalue(r.ub2),
+                format_pvalue(r.ub_k),
             ]
         )

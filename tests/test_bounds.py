@@ -342,9 +342,13 @@ class TestReport:
         assert math.exp(rep.log_error_bound_ub2) == error_bound_ub2(engine)
         assert rep.p_fisher is not None
         assert rep.p_fisher.raw_log == exact_fisher(engine).raw_log
-        flags = guarantees(rep.stats)
+        s = derive_stats(t)
+        assert (rep.lift, rep.leverage, rep.odds_ratio) == (s.lift, s.leverage, s.odds_ratio)
+        flags = guarantees(s)
         assert rep.guarantee_ub1 == flags.ub1_within_p0
         assert rep.guarantee_ub2 == flags.ub2_within_p0
+        assert rep.terms == t.j + 1 == 138
+        assert not rep.clamped
 
     def test_exact_evaluation_can_be_skipped(self):
         rep = report(build_table(1000, 200, 250, 63), include_exact=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -232,6 +233,44 @@ class TestSweep:
         assert main(["sweep", "1000", "200", "250", "55", "60", "--k", "2"]) == EXIT_DATA
         assert "orders 1 and 2 are always included" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_refused_sweep_writes_nothing(self, to_file, tmp_path, capsys):
+        # n above 2^50 is refused only by the term engine, which every
+        # point reaches through report
+        out_path = tmp_path / "sweep.csv"
+        flags = ["--out", str(out_path)] if to_file else []
+        assert main(["sweep", str(2**50 + 10), "200", "250", "60", "61", *flags]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "too large for double-precision" in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
+
+    def test_rows_are_written_as_the_reports_are_made(self, monkeypatch):
+        # a reader that stops after the first data row ends a 20000-overlap
+        # sweep after a handful of reports, not after the whole range
+        from fisherbounds import sweep
+
+        made = []
+        real_report = sweep.report
+        monkeypatch.setattr(
+            sweep, "report", lambda *args, **kw: made.append(1) or real_report(*args, **kw)
+        )
+
+        class Stop(Exception):
+            pass
+
+        class FirstRowOnly(io.StringIO):
+            def write(self, text):
+                if self.getvalue().count("\n") >= 2:
+                    raise Stop
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", FirstRowOnly())
+        with pytest.raises(Stop):
+            main(["sweep", "100000000", "50000000", "50000000", "25000001", "25020000",
+                  "--no-exact"])
+        assert 1 <= len(made) <= 3
+
 
 class TestReproduceTables:
     def test_full_grid_summary(self, capsys):
@@ -257,6 +296,15 @@ class TestReproduceTables:
 
     def test_unknown_case_is_a_usage_error(self, capsys):
         assert main(["reproduce-tables", "--case", "4"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "-1e-9"])
+    def test_tolerance_that_is_not_finite_and_non_negative_is_a_usage_error(
+        self, bad, capsys
+    ):
+        assert main(["reproduce-tables", f"--tolerance={bad}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a finite number >= 0" in captured.err
 
 
 class TestRankAgreement:

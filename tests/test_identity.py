@@ -1,7 +1,7 @@
-"""Batch output bytes and report bits, pinned by SHA-256.
+"""Batch, eval and sweep output bytes and report bits, pinned by SHA-256.
 
 A change meant to leave results alone (a speed-up, a refactor) must
-keep every batch byte and every bit of a report.  These digests were
+keep every byte the commands print and every bit of a report.  These digests were
 recorded before such a change and must hold after it; a change that
 moves output on purpose records new ones and says why.  Every float
 reaches them through math.lgamma, log, exp and erfc, so a platform
@@ -103,3 +103,76 @@ def test_report_bits_are_pinned(k):
         for value in (r.log_error_bound, r.log_error_bound_ub2, r.chi2.log_p):
             digest.update(f"{value.hex()};".encode())
     assert digest.hexdigest() == REPORT_DIGESTS[k]
+
+
+# sha256 of eval's stdout
+EVAL_DIGESTS = {
+    "readme": "a49318d57f75da9ec9b34a7057cfc17293b2b150eaaba28b8f01bca3c151e4d9",
+    "negate": "cbd8f5b9e5f5d7de7e1393e5dc3dcc25057d60185d5154ea1fcb2a00f2774ade",
+    "k7": "0d792f44f88e5e83a049343a0b0ff483c9c88bdddc5b0237121425baabbae3d7",
+    "no-exact": "5c25ca72263fae6c325762ed353cef28d193a2fe3c0bf0336629a49594288cc0",
+    "clamped": "132429c2f44d269c3837837c3ffb438914bb922db14a71aee9b3399ffc694f7e",
+    "deep-tail": "507039aa8b51406a91430012f0cb17222695627c8794275275de206e958636cc",
+}
+EVAL_ARGS = {
+    "readme": ["1000", "200", "250", "60"],
+    "negate": ["1000", "200", "250", "40", "--negate"],
+    "k7": ["1000", "200", "250", "60", "--k", "7"],
+    "no-exact": ["1000", "200", "250", "60", "--no-exact"],
+    # ub1 and ub2 exceed 1 and print clamped
+    "clamped": ["1000", "500", "500", "251"],
+    # every probability lies far below the smallest double
+    "deep-tail": ["10000", "5000", "5000", "4000"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_ARGS))
+def test_eval_bytes_are_pinned(case, capsys):
+    assert main(["eval", *EVAL_ARGS[case]]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_DIGESTS[case]
+
+
+# sha256 of the sweep CSV on stdout
+SWEEP_DIGESTS = {
+    "figure": "f62d202290d84718a1fe10e3aa2d579808b63ef6e583332b689615dd9bf92dc0",
+    "k5-no-exact": "e252154f7febe944249309f837606c4aa4114f2235feab58755c4a41a61f9ec5",
+    "deep-tail": "468c15658286224187a89fbd820d010607f8adf1e855aa1cc78da79cac2f8b2d",
+}
+SWEEP_ARGS = {
+    "figure": ["1000", "200", "250", "51", "120"],
+    "k5-no-exact": ["1000", "200", "250", "51", "120", "--k", "5", "--no-exact"],
+    # p_fisher and the bounds print in mantissa/exponent form
+    "deep-tail": ["10000", "5000", "5000", "3990", "4010"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_ARGS))
+def test_sweep_bytes_are_pinned(case, capsys):
+    assert main(["sweep", *SWEEP_ARGS[case]]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[case]
+
+
+SHARED_COLUMNS = ("lift", "leverage", "odds", "p_fisher", "ub1", "ub2", "ub3")
+
+
+@pytest.mark.parametrize("counts", [(1000, 200, 250, 60), (10000, 5000, 5000, 4000)])
+def test_eval_batch_and_sweep_print_a_table_alike(counts, tmp_path, capsys):
+    args = [str(c) for c in counts]
+    assert main(["eval", *args]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    from_eval = dict(line.split(" = ") for line in lines)
+
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id,n,mx,ma,mxa\nt," + ",".join(args) + "\n", encoding="utf-8")
+    assert main(["batch", str(src), "--out", str(out)]) == EXIT_OK
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    from_batch = dict(zip(header.replace("ubk", "ub3").split(","), row.split(",")))
+
+    assert main(["sweep", *args, args[-1], "--out", str(out)]) == EXIT_OK
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    from_sweep = dict(zip(header.split(","), row.split(",")))
+
+    for column in SHARED_COLUMNS:
+        assert from_eval[column] == from_batch[column] == from_sweep[column], column

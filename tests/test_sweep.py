@@ -72,14 +72,14 @@ class TestRunSweep:
     def test_each_point_keeps_the_bound_ordering(self):
         points = run_sweep(SweepSpec(1000, 200, 250, 51, 120, ks=(3,)))
         for p in points:
-            assert _leq(p.p_fisher, p.ub_ks[3])
-            assert _leq(p.ub_ks[3], p.ub2)
+            assert _leq(p.p_fisher, p.ub_k)
+            assert _leq(p.ub_k, p.ub2)
             assert _leq(p.ub2, p.ub1)
 
     def test_gaps_close_as_the_overlap_grows(self):
         points = run_sweep(SweepSpec(1000, 200, 250, 51, 120, ks=(3,)))
         gap2 = [p.ub2.linear_value - p.p_fisher.linear_value for p in points]
-        gap3 = [p.ub_ks[3].linear_value - p.p_fisher.linear_value for p in points]
+        gap3 = [p.ub_k.linear_value - p.p_fisher.linear_value for p in points]
         for gaps in (gap2, gap3):
             assert all(b <= a for a, b in zip(gaps, gaps[1:]))
         gap1 = [p.ub1.linear_value - p.p_fisher.linear_value for p in points]
@@ -88,7 +88,7 @@ class TestRunSweep:
     def test_high_order_collapses_onto_the_exact_value(self):
         points = run_sweep(SweepSpec(100, 20, 30, 10, 15, ks=(200,)))
         for p in points:
-            assert p.ub_ks[200].raw_log == p.p_fisher.raw_log
+            assert p.ub_k.raw_log == p.p_fisher.raw_log
 
     def test_exact_column_is_optional(self):
         points = run_sweep(SweepSpec(1000, 200, 250, 55, 56, include_exact=False))
@@ -96,17 +96,15 @@ class TestRunSweep:
         assert all(p.ub1.linear_value > 0 for p in points)
 
     def test_requested_orders_are_all_present(self):
-        points = run_sweep(SweepSpec(1000, 200, 250, 60, 60, ks=(8,)))
-        assert set(points[0].ub_ks) == {8}
+        (point,) = run_sweep(SweepSpec(1000, 200, 250, 60, 60, ks=(8,)))
+        assert point.k_used == 8
+        assert point.ub_k == ub_k(make_term_engine(point.table), 8)
 
     def test_points_match_report_and_ub_k(self):
         spec = SweepSpec(1000, 200, 250, 58, 60, ks=(7,))
         for p in run_sweep(spec):
-            rep = report(p.table, k=7)
-            engine = make_term_engine(p.table)
-            assert p.p_fisher == rep.p_fisher
-            assert (p.ub1, p.ub2, p.ub_ks[7]) == (rep.ub1, rep.ub2, rep.ub_k)
-            assert p.ub_ks[7] == ub_k(engine, 7)
+            assert p == report(p.table, k=7)
+            assert p.ub_k == ub_k(make_term_engine(p.table), 7)
 
 
 class TestWriteSweepCsv:
@@ -134,7 +132,7 @@ class TestWriteSweepCsv:
         assert first["leverage"] == "0.01"
         assert first["p_fisher"] == "0.0428803"
         assert first["ub1"] == f"{points[0].ub1.linear_value:.6g}"
-        assert first["ub3"] == f"{points[0].ub_ks[3].linear_value:.6g}"
+        assert first["ub3"] == f"{points[0].ub_k.linear_value:.6g}"
 
     def test_underflowed_values_print_from_the_log(self):
         spec = SweepSpec(5000, 2500, 2500, 2395, 2400)
