@@ -23,15 +23,8 @@ from itertools import combinations
 from typing import Sequence
 
 from . import __version__
-from .batch import (
-    _format_log,
-    format_float,
-    format_pvalue,
-    read_table_csv,
-    run_batch,
-    write_batch_csv,
-)
-from .bounds import _require_extra_k, report
+from .batch import _format_log, _input_chunks, _write_chunks, format_float, format_pvalue
+from .bounds import _require_extra_k, _require_k, report
 from .contingency import _smallest_admissible, build_table, negate_consequent
 from .errors import NegativeDependency
 
@@ -141,12 +134,13 @@ def _cmd_eval(args) -> int:
     t = build_table(args.n, args.mx, args.ma, args.mxa)
     if args.negate:
         t = negate_consequent(t)
-    if not t.positive_dependency:
+    try:
+        rep = report(t, k=args.k, include_exact=not args.no_exact)
+    except NegativeDependency:
         raise NegativeDependency(
             f"no positive dependency at mxa={t.mxa}; {_smallest_admissible(t)};"
             " --negate tests the opposite direction"
-        )
-    rep = report(t, k=args.k, include_exact=not args.no_exact)
+        ) from None
     lines = [
         ("n", str(t.n)),
         ("mx", str(t.mx)),
@@ -194,10 +188,12 @@ def _cmd_batch(args) -> int:
     for (name_a, a), (name_b, b) in combinations(paths, 2):
         if a and b and _same_file(a, b):
             raise ValueError(f"{name_a} and {name_b} are the same file: {b}")
-    rows = read_table_csv(args.input)
-    results = run_batch(rows, k=args.k, negate=args.negate, include_exact=not args.no_exact)
+    chunks = _input_chunks(args.input)
+    _require_k(args.k)
     with _open_csv(args.out, sys.stdout) as out, _open_csv(args.rejects, None) as rejects:
-        written, by_reason = write_batch_csv(out, results, rejects)
+        written, by_reason = _write_chunks(
+            out, chunks, rejects, k=args.k, negate=args.negate, include_exact=not args.no_exact
+        )
     if by_reason and not args.rejects:
         rejected = sum(by_reason.values())
         detail = ", ".join(f"{reason}={count}" for reason, count in sorted(by_reason.items()))

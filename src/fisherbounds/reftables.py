@@ -158,8 +158,12 @@ def check_rows(tolerance: float | None = None, case: int | None = None) -> list[
     tolerance, when given, replaces every plain per-column tolerance;
     annotations still apply, at their plain tolerance, to cells that
     miss the plain check.  case filters to one margin configuration
-    across both data sizes.
+    across both data sizes.  A tolerance that is not a finite number
+    >= 0 is refused with ValueError: nan would fail every check and inf
+    pass every one.
     """
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     checks = []
     for row in ROWS:
         if case is not None and row.case != case:

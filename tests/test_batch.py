@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
 import random
+import re
 import time
 from decimal import Decimal
 
@@ -29,7 +31,9 @@ from fisherbounds import (
     run_batch,
     write_batch_csv,
 )
+from fisherbounds import batch
 from fisherbounds.batch import (
+    CHUNK_LINES,
     REASON_BAD_ROW,
     REASON_DEGENERATE,
     REASON_MARGIN,
@@ -490,3 +494,98 @@ class TestBatchInvariant:
                 assert rejected and rejected[0] in ids, (ids, evaluated[:1], rejected[:1])
                 rejected.pop(0)
         assert evaluated == rejected == []
+
+
+class TestChunkBoundaries:
+    """The batch command reads CHUNK_LINES lines at a time and, past one
+    chunk, evaluates the chunks in worker processes; no byte of its
+    output, rejects or summary shows where one chunk ends."""
+
+    # around each boundary: an id-less row, an unbalanced quote, blank
+    # lines, and every reject reason
+    SPECIAL = (
+        ",1000,200,250,60",
+        'q,"1000,200,250,60',
+        "",
+        " , ,\t, ,",
+        "bad,1000,200,x,60",
+        "margin,10,4,7,5",
+        "degenerate,10,0,7,0",
+        "negative,1000,200,250,40",
+        f"huge,{2**50 + 1},200,250,100",
+    )
+
+    @classmethod
+    def _corpus(cls, rng: random.Random) -> list[str]:
+        """Three chunks and seven lines of data: valid tables, and the
+        special lines shuffled over the four lines either side of each
+        chunk boundary."""
+        lines = []
+        for i in range(3 * CHUNK_LINES + 7):
+            n = rng.randint(5, 2000)
+            mx, ma = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            mxa = rng.randint(max(0, mx + ma - n), min(mx, ma))
+            lines.append(f"r{i},{n},{mx},{ma},{mxa}")
+        for boundary in (CHUNK_LINES, 2 * CHUNK_LINES, 3 * CHUNK_LINES):
+            around = list(cls.SPECIAL)
+            rng.shuffle(around)
+            lines[boundary - 4:boundary + 5] = around
+        return lines
+
+    @staticmethod
+    def _command(path, tmp_path, flags, with_rejects, cpus, monkeypatch, capsys):
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
+        pooled = []
+        in_order = batch._in_order
+        monkeypatch.setattr(
+            batch, "_in_order", lambda *args: pooled.append(1) or in_order(*args)
+        )
+        out, rejects = tmp_path / f"out{cpus}.csv", tmp_path / f"rejects{cpus}.csv"
+        argv = ["batch", str(path), "--out", str(out), *flags]
+        if with_rejects:
+            argv += ["--rejects", str(rejects)]
+        assert main(argv) == EXIT_OK
+        assert bool(pooled) == (cpus > 1)
+        assert multiprocessing.active_children() == []
+        texts = [out.read_text(encoding="utf-8")]
+        texts.append(rejects.read_text(encoding="utf-8") if with_rejects else None)
+        return texts, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, with_rejects",
+        [([], True), (["--no-exact"], False), (["--negate"], True)],
+        ids=["exact-rejects", "no-exact-summary", "negate-rejects"],
+    )
+    def test_pooled_run_matches_the_in_process_paths(
+        self, flags, with_rejects, tmp_path, monkeypatch, capsys
+    ):
+        lines = self._corpus(random.Random(99))
+        path = tmp_path / "in.csv"
+        path.write_text("id,n,mx,ma,mxa\n" + "\n".join(lines) + "\n", encoding="utf-8")
+
+        pooled, pooled_err = self._command(path, tmp_path, flags, with_rejects, 2, monkeypatch, capsys)
+        serial, serial_err = self._command(path, tmp_path, flags, with_rejects, 1, monkeypatch, capsys)
+        assert pooled == serial
+        assert pooled_err == serial_err
+        assert ("rejected" in pooled_err) != with_rejects
+
+        # the library path reads and writes row by row, with no chunks
+        out, rejects = io.StringIO(), io.StringIO() if with_rejects else None
+        results = run_batch(
+            read_table_csv(str(path)), negate="--negate" in flags, include_exact="--no-exact" not in flags
+        )
+        write_batch_csv(out, results, rejects)
+        assert pooled == [out.getvalue(), rejects and rejects.getvalue()]
+
+        # a line<N> id names a line that had no id, or (a reject, so only
+        # with --rejects) one the csv module could not split, by its true
+        # line number
+        text = "".join(t for t in pooled if t)
+        named = {int(m) for m in re.findall(r"^line(\d+),", text, re.MULTILINE)}
+        expected = {
+            line_no
+            for line_no, line in enumerate(lines, 2)
+            if line.startswith(",") or (with_rejects and '"' in line)
+        }
+        assert named == expected
+        assert len(named) == (6 if with_rejects else 3)

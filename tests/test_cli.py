@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import errno
 import io
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import fisherbounds
-from fisherbounds import OUTPUT_HEADER, REJECT_HEADER, __version__
+from fisherbounds import OUTPUT_HEADER, REJECT_HEADER, __version__, batch
 from fisherbounds.cli import EXIT_DATA, EXIT_OK, EXIT_REPRODUCTION, EXIT_USAGE, main
 
 
@@ -209,6 +213,136 @@ class TestBatch:
         path.write_text("n,mx,ma,mxa\n10,4,7,3\n", encoding="utf-8")
         assert main(["batch", str(path)]) == EXIT_DATA
         assert "expected header" in capsys.readouterr().err
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+class _ReaderGoneAfterOneLine:
+    """A stdout whose reader leaves after the first line, as under `| head -n 1`."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        if self.fh.tell():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return self.fh.write(text)
+
+    def flush(self):
+        self.fh.flush()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+
+class TestPooledBatch:
+    """An input of more than one chunk goes to worker processes; every way
+    the run ends, the workers are gone when main returns."""
+
+    @pytest.fixture()
+    def big_csv(self, tmp_path, monkeypatch):
+        # two workers even on a machine with one usable CPU
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 2)
+        path = tmp_path / "big.csv"
+        rows = "".join(f"r{i},1000,200,250,{60 + i % 40}\n" for i in range(4 * batch.CHUNK_LINES))
+        path.write_text("id,n,mx,ma,mxa\n" + rows, encoding="utf-8")
+        return path
+
+    def test_worker_that_dies_ends_the_run_with_one_error_line(
+        self, big_csv, tmp_path, monkeypatch, capsys
+    ):
+        # the fork start method hands the patched module to the workers
+        monkeypatch.setattr(batch, "_evaluate_chunk", _die)
+        out = tmp_path / "out.csv"
+        assert main(["batch", str(big_csv), "--out", str(out), "--no-exact"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: a batch worker process ended abruptly")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    def test_closed_stdout_pipe_exits_zero_quietly(self, big_csv, tmp_path, monkeypatch, capsys):
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", _ReaderGoneAfterOneLine(fh))
+            assert main(["batch", str(big_csv), "--no-exact"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "stdout").read_text(encoding="utf-8") == ",".join(OUTPUT_HEADER) + "\n"
+
+
+    def test_pool_has_no_more_workers_than_chunks(self, big_csv, tmp_path, monkeypatch):
+        from concurrent import futures
+
+        sizes = []
+
+        class Recorded(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 8)
+        out = tmp_path / "out.csv"
+        assert main(["batch", str(big_csv), "--out", str(out), "--no-exact"]) == EXIT_OK
+        assert sizes == [4]
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * batch.CHUNK_LINES
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self") or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="reads process states from /proc; patches the workers through fork",
+    )
+    def test_killed_run_takes_its_workers_with_it(self, big_csv, tmp_path):
+        # each worker notes its pid and then waits, so both are busy when
+        # the batch process is killed, as a harness that times out kills it
+        pids = tmp_path / "pids"
+        script = (
+            "import os, time\n"
+            "from fisherbounds import batch\n"
+            "from fisherbounds.cli import main\n"
+            "def note_and_wait(*args, **kwargs):\n"
+            f"    with open({str(pids)!r}, 'a') as fh:\n"
+            "        fh.write(f'{os.getpid()}\\n')\n"
+            "    time.sleep(600)\n"
+            "batch._usable_cpus = lambda: 2\n"
+            "batch._evaluate_chunk = note_and_wait\n"
+            f"main(['batch', {str(big_csv)!r}, '--out', {str(tmp_path / 'out.csv')!r}])\n"
+        )
+        src = os.path.dirname(os.path.dirname(fisherbounds.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(p) for p in pids.read_text().split()] if pids.exists() else []
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether a process is there and not a zombie, from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestSweep:

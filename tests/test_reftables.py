@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -67,6 +68,12 @@ class TestCheckRows:
     def test_tolerance_override_replaces_plain_checks(self):
         census = Counter(ch.status for ch in check_rows(tolerance=0.5))
         assert census == {STATUS_PASS: 90}
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_that_is_not_finite_and_non_negative_is_refused(self, tolerance):
+        # nan and -1 would fail 83 cells, inf would pass all 90
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            check_rows(tolerance=tolerance)
 
     def test_annotations_survive_a_crushing_tolerance(self):
         census = Counter(ch.status for ch in check_rows(tolerance=1e-12))

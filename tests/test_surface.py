@@ -120,3 +120,5 @@ def test_batch_command_loads_only_what_it_uses(tmp_path):
     loaded = _modules_after_command("batch", str(path), "--out", str(tmp_path / "o.csv"))
     assert "fisherbounds.batch" in loaded
     assert sorted(HEAVY & loaded) == []
+    # an input of one chunk is evaluated in-process, without the pool's imports
+    assert sorted({"concurrent.futures", "multiprocessing"} & loaded) == []
