@@ -22,10 +22,9 @@ import io
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import ApproxReport, _require_k, report
 from .chi2 import _DOUBLE_MIN
@@ -65,16 +64,14 @@ _LN10 = math.log(10.0)
 CHUNK_LINES = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class BatchRecord:
+class BatchRecord(NamedTuple):
     """One evaluated row: its input id and its report, which holds the table."""
 
     row_id: str
     report: ApproxReport
 
 
-@dataclass(frozen=True, slots=True)
-class Reject:
+class Reject(NamedTuple):
     row_id: str
     reason: str
     detail: str

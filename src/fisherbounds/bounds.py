@@ -18,10 +18,10 @@ under which the absolute error is at most p_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chi2 import Chi2Result, chi2_one_sided
-from .contingency import ContingencyTable, DerivedStats, derive_stats
+from .contingency import ContingencyTable, DerivedStats, _measures
 from .errors import InvalidK
 from .exact import PValue, TermEngine, _log_tail_factor, _walk, make_term_engine
 
@@ -93,8 +93,7 @@ def error_bound_ub2(engine: TermEngine) -> float:
     return math.exp(engine.log_p0 + _log_tail_factor(engine, 0)) if engine.j else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class GuaranteeFlags:
+class GuaranteeFlags(NamedTuple):
     """Lift thresholds under which an error ceiling of p_0 is proven.
 
     ub2_within_p0 additionally forces ub2 <= 2 p_F.
@@ -110,15 +109,18 @@ def guarantees(s: DerivedStats) -> GuaranteeFlags:
     lift >= 2 compares n mxa against 2 mx ma directly; the golden-ratio
     test squares 2 lift - 1 >= sqrt(5) so no irrational is evaluated.
     """
-    t = s.table
+    return GuaranteeFlags(*_lift_flags(s.table))
+
+
+def _lift_flags(t: ContingencyTable) -> tuple[bool, bool]:
+    """ub1_within_p0 and ub2_within_p0: the one formula of guarantees and report."""
     margins = t.mx * t.ma
     joint = t.n * t.mxa
     u = 2 * joint - margins
-    return GuaranteeFlags(joint >= 2 * margins, u >= 0 and u * u >= 5 * margins * margins)
+    return joint >= 2 * margins, u >= 0 and u * u >= 5 * margins * margins
 
 
-@dataclass(frozen=True, slots=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """The one per-table record that eval, batch and sweep print.
 
     lift, leverage and odds_ratio are derive_stats's.  p_fisher, the one
@@ -169,11 +171,8 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     """
     engine = make_term_engine(t)
     _require_k(k)
-    s = derive_stats(t)
-    flags = guarantees(s)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
     return ApproxReport(
-        t, s.lift, s.leverage, s.odds_ratio, ub1(engine), ub2_pv, ubk_pv, k,
-        log_err_ubk, log_err_ub2, flags.ub1_within_p0, flags.ub2_within_p0,
-        chi2_one_sided(t), p_fisher,
+        t, *_measures(t), ub1(engine), ub2_pv, ubk_pv, k, log_err_ubk, log_err_ub2,
+        *_lift_flags(t), chi2_one_sided(t), p_fisher,
     )

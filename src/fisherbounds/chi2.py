@@ -14,7 +14,7 @@ Its log stays finite where the linear tail underflows to 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contingency import ContingencyTable
 
@@ -25,8 +25,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _DOUBLE_MIN = 2.0**-1022  # the smallest normal double
 
 
-@dataclass(frozen=True, slots=True)
-class Chi2Result:
+class Chi2Result(NamedTuple):
     """statistic >= 0; p_one_sided is 0.5 exactly at independence.
 
     log_p is ln p_one_sided, finite where p_one_sided underflows.

@@ -10,7 +10,7 @@ bounds, the chi-square baseline) consumes these tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegenerateMargin, MarginViolation
 
@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class ContingencyTable:
     """Counts of a 2x2 table: n rows, margins mx and ma, joint count mxa.
 
@@ -44,21 +43,14 @@ class ContingencyTable:
     Margins must be non-degenerate (0 < mx < n, 0 < ma < n) and mxa must
     lie inside the Frechet bounds max(0, mx + ma - n) <= mxa <= min(mx, ma).
     Construction validates all of this; instances are immutable and safe
-    to share across threads.
+    to share across threads, and pickle and copy rebuild them through
+    the constructor.
     """
 
-    n: int
-    mx: int
-    ma: int
-    mxa: int
-    mxna: int = field(init=False, repr=False, compare=False)
-    mnxa: int = field(init=False, repr=False, compare=False)
-    mnxna: int = field(init=False, repr=False, compare=False)
-    delta_counts: int = field(init=False, repr=False, compare=False)
-    j: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "mx", "ma", "mxa", "mxna", "mnxa", "mnxna", "delta_counts", "j")
+    __match_args__ = ("n", "mx", "ma", "mxa")
 
-    def __post_init__(self) -> None:
-        n, mx, ma, mxa = self.n, self.mx, self.ma, self.mxa
+    def __init__(self, n: int, mx: int, ma: int, mxa: int) -> None:
         if not (0 < mx < n and 0 < ma < n):
             raise DegenerateMargin(
                 f"margins must satisfy 0 < mx < n and 0 < ma < n, "
@@ -74,11 +66,36 @@ class ContingencyTable:
             )
         mnxa = ma - mxa
         store = object.__setattr__
+        store(self, "n", n)
+        store(self, "mx", mx)
+        store(self, "ma", ma)
+        store(self, "mxa", mxa)
         store(self, "mxna", mx - mxa)
         store(self, "mnxa", mnxa)
         store(self, "mnxna", n - mx - mnxa)
         store(self, "delta_counts", n * mxa - mx * ma)
         store(self, "j", hi - mxa)
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ContingencyTable, (self.n, self.mx, self.ma, self.mxa)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.mx, self.ma, self.mxa) == (other.n, other.mx, other.ma, other.mxa)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mx, self.ma, self.mxa))
+
+    def __repr__(self) -> str:
+        return f"ContingencyTable(n={self.n!r}, mx={self.mx!r}, ma={self.ma!r}, mxa={self.mxa!r})"
 
     @property
     def positive_dependency(self) -> bool:
@@ -87,8 +104,7 @@ class ContingencyTable:
         return self.delta_counts > 0
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedStats:
+class DerivedStats(NamedTuple):
     """Dependency measures of a table.
 
     lift is P(XA) / (P(X) P(A)) and leverage is P(XA) - P(X) P(A); a lift
@@ -117,10 +133,15 @@ def derive_stats(t: ContingencyTable) -> DerivedStats:
     Ratios are taken as single float divisions of exact integer
     products, so each value carries one rounding step.
     """
+    return DerivedStats(t, *_measures(t))
+
+
+def _measures(t: ContingencyTable) -> tuple[float, float, float]:
+    """lift, leverage and odds_ratio: the one formula of derive_stats and report."""
     n, mxa = t.n, t.mxa
     off_diagonal = t.mxna * t.mnxa
     odds = (mxa * t.mnxna) / off_diagonal if off_diagonal else math.inf
-    return DerivedStats(t, (n * mxa) / (t.mx * t.ma), t.delta_counts / (n * n), odds)
+    return (n * mxa) / (t.mx * t.ma), t.delta_counts / (n * n), odds
 
 
 def _smallest_admissible(t: ContingencyTable) -> str:

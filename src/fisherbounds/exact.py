@@ -24,7 +24,7 @@ total, so both return the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contingency import ContingencyTable
 from .errors import CapacityExceeded, NegativeDependency, OutOfRange
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PValue:
+class PValue(NamedTuple):
     """A probability held in log space with a linear view.
 
     raw_log is the log of the value as computed, before any clamping,
@@ -67,8 +66,7 @@ class PValue:
         return 1.0 if self.raw_log > 0.0 else math.exp(self.raw_log)
 
 
-@dataclass(frozen=True, slots=True)
-class TermEngine:
+class TermEngine(NamedTuple):
     """Per-table state of the term recurrence of a positive dependency.
 
     log_p0 is ln p_0 of the observed table and j counts the ratio steps

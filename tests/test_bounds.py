@@ -31,7 +31,7 @@ from fisherbounds import (
 )
 from fisherbounds.bounds import _log_tail_factor
 
-from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
+from conftest import CORPUS_SEED, EXHAUSTIVE_POSITIVE, iter_exhaustive, random_positive_tables
 
 
 def _p0(t) -> Fraction:
@@ -392,6 +392,21 @@ class TestReport:
         for n in (10**306, 10**160):
             with pytest.raises(OutOfRange, match="too large"):
                 report(build_table(n, n // 2 + 1, n // 2 + 1, n // 2), k=0)
+
+    def test_shared_formulas_match_derive_stats_and_guarantees_bit_for_bit(self):
+        checked = 0
+        for t in iter_exhaustive(max_n=40, positive_only=True):
+            rep = report(t, include_exact=False)
+            s = derive_stats(t)
+            assert [x.hex() for x in (rep.lift, rep.leverage, rep.odds_ratio)] == [
+                x.hex() for x in (s.lift, s.leverage, s.odds_ratio)
+            ], t
+            flags = guarantees(s)
+            assert (rep.guarantee_ub1, rep.guarantee_ub2) == (
+                flags.ub1_within_p0, flags.ub2_within_p0
+            ), t
+            checked += 1
+        assert checked == EXHAUSTIVE_POSITIVE
 
 
 class TestOnePass:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -74,11 +76,29 @@ class TestStoredCells:
     def test_repr_shows_the_four_counts(self):
         assert repr(build_table(10, 4, 7, 2)) == "ContingencyTable(n=10, mx=4, ma=7, mxa=2)"
 
-    def test_replace_recomputes_every_cell(self):
-        moved = dataclasses.replace(build_table(1000, 200, 250, 60), mxa=70)
+    def test_replace_recomputes_every_cell(self, monkeypatch):
+        t = build_table(1000, 200, 250, 60)
+        rebuild, counts = t.__reduce__()
+        assert (rebuild, counts) == (ContingencyTable, (1000, 200, 250, 60))
+        moved = rebuild(*counts[:3], 70)
         assert (moved.mxna, moved.mnxa, moved.mnxna) == (130, 180, 620)
         assert moved.delta_counts == 1000 * 70 - 200 * 250
         assert moved.j == 130
+        # pickle and copy go through the constructor, so every cell is
+        # recomputed from the four counts rather than copied
+        built = []
+        init = ContingencyTable.__init__
+        monkeypatch.setattr(
+            ContingencyTable, "__init__", lambda self, *a: (built.append(a), init(self, *a))[1]
+        )
+        for route in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            built.clear()
+            again = route(t)
+            assert built == [(1000, 200, 250, 60)]
+            assert again is not t
+            assert [getattr(again, name) for name in ContingencyTable.__slots__] == [
+                getattr(t, name) for name in ContingencyTable.__slots__
+            ]
 
     def test_stored_cell_cannot_be_assigned(self):
         t = build_table(10, 4, 7, 2)

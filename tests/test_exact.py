@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -72,7 +71,7 @@ class TestPValue:
         assert not pv.clamped or pv.linear_value == 1.0
 
     def test_stores_only_the_log_and_the_term_count(self):
-        assert [f.name for f in dataclasses.fields(PValue)] == ["raw_log", "terms_evaluated"]
+        assert PValue._fields == ("raw_log", "terms_evaluated")
 
     def test_deep_tail_keeps_log_information(self):
         t = build_table(5000, 2500, 2500, 2400)

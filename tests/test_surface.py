@@ -9,6 +9,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import fisherbounds
 
 # cli has its own entry-point names, and __main__ runs the command line
@@ -81,10 +83,11 @@ def _modules_after(code: str) -> set[str]:
     return set(done.stderr.split())
 
 
-def _modules_after_command(*argv: str) -> set[str]:
-    """The modules `python -m fisherbounds ARGV...` holds once it has run."""
+def _modules_after_command(*argv: str, setup: str = "") -> set[str]:
+    """The modules `python -m fisherbounds ARGV...` holds once it has run,
+    after the lines of setup."""
     return _modules_after(
-        f"import runpy, sys\nsys.argv[1:] = {list(argv)!r}\ntry:\n"
+        f"{setup}import runpy, sys\nsys.argv[1:] = {list(argv)!r}\ntry:\n"
         "    runpy.run_module('fisherbounds', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code"
@@ -122,3 +125,38 @@ def test_batch_command_loads_only_what_it_uses(tmp_path):
     assert sorted(HEAVY & loaded) == []
     # an input of one chunk is evaluated in-process, without the pool's imports
     assert sorted({"concurrent.futures", "multiprocessing"} & loaded) == []
+
+
+# dataclasses imports inspect, and with it ast, dis and tokenize: most of
+# the package's import time, which no per-row record needs
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
+def test_term_engine_loads_no_record_machinery():
+    loaded = _modules_after(
+        "import fisherbounds\n"
+        "fisherbounds.make_term_engine(fisherbounds.build_table(1000, 200, 250, 60))"
+    )
+    assert "fisherbounds.exact" in loaded
+    assert sorted(RECORD_MACHINERY & loaded) == []
+
+
+def test_eval_command_loads_no_record_machinery():
+    loaded = _modules_after_command("eval", "1000", "200", "250", "60")
+    assert "fisherbounds.bounds" in loaded
+    assert sorted(RECORD_MACHINERY & loaded) == []
+
+
+@pytest.mark.parametrize("rows, pooled", [(2, False), (2500, True)], ids=["one-chunk", "pooled"])
+def test_batch_command_loads_no_record_machinery(tmp_path, rows, pooled):
+    path = tmp_path / "t.csv"
+    body = "".join(f"r{i},{1000 + i},200,250,{60 + i % 40}\n" for i in range(rows))
+    path.write_text("id,n,mx,ma,mxa\n" + body, encoding="utf-8")
+    loaded = _modules_after_command(
+        "batch", str(path), "--out", str(tmp_path / "o.csv"),
+        # two usable CPUs, so three chunks go to the pool on any machine
+        setup="import fisherbounds.batch\nfisherbounds.batch._usable_cpus = lambda: 2\n",
+    )
+    assert ("multiprocessing" in loaded) == pooled
+    assert sorted(RECORD_MACHINERY & loaded) == []
+    assert len((tmp_path / "o.csv").read_text(encoding="utf-8").splitlines()) == rows + 1
