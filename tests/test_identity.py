@@ -176,3 +176,133 @@ def test_eval_batch_and_sweep_print_a_table_alike(counts, tmp_path, capsys):
 
     for column in SHARED_COLUMNS:
         assert from_eval[column] == from_batch[column] == from_sweep[column], column
+
+
+def _walk_pin_tables() -> list:
+    """Positive tables whose walks reach past n <= 12: seeded tables up to
+    n = 1e6 (some of them near independence, so the certified stop comes
+    late), strong tables within 5000 of 2^50 drawn as the batch corpus
+    draws them, and tables with J in {0, 1, 2}."""
+    from fisherbounds import build_table, negate_consequent
+
+    rng = random.Random(1818)
+    tables = []
+    for i in range(1500):
+        n = int(10 ** rng.uniform(1, 6))
+        mx, ma = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        lo, hi = max(0, mx + ma - n), min(mx, ma)
+        if i % 10 == 0:
+            mxa = min(hi, mx * ma // n + 1 + rng.randint(0, 3))
+        elif i % 10 == 1:
+            mxa = max(lo, hi - rng.randint(0, 2))
+        else:
+            mxa = rng.randint(lo, hi)
+        tables.append(build_table(n, mx, ma, mxa))
+    for _ in range(200):
+        big = TOP_N - rng.randint(0, 5000)
+        half = big // 2 - rng.randint(0, 100)
+        overlap = rng.choice([half - rng.randint(0, 20), rng.randint(0, 20)])
+        tables.append(build_table(big, half, half, overlap))
+    return [t if t.positive_dependency else negate_consequent(t) for t in tables]
+
+
+WALK_DIGEST = "0812891ecc63e0d4cb1520a1c35297fcbdd1b43d35931098c2fe97b0a24b55a7"
+
+
+def test_walk_bits_are_pinned_beyond_small_tables():
+    """raw_log and terms_evaluated of every bound and p_F and both error
+    ceilings, for k in {1, 2, 3, 7}, with and without the exact sum."""
+    tables = [t for t in _walk_pin_tables() if t.positive_dependency]
+    assert len(tables) > 1500
+    assert {t.j for t in tables} >= {0, 1, 2}
+    digest = hashlib.sha256()
+    for t in tables:
+        for k in (1, 2, 3, 7):
+            for include_exact in (True, False):
+                r = report(t, k, include_exact)
+                for pv in (r.ub1, r.ub2, r.ub_k, r.p_fisher):
+                    if pv is None:
+                        digest.update(b"None;")
+                    else:
+                        digest.update(f"{pv.raw_log.hex()} {pv.terms_evaluated};".encode())
+                digest.update(f"{r.log_error_bound.hex()} {r.log_error_bound_ub2.hex()};".encode())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
+def _edge_case_bytes(rng: random.Random) -> bytes:
+    """Three chunks of input behind a byte-order mark, in LF, CRLF and
+    lone-CR line endings: valid rows, and ids quoted with a comma or a
+    doubled quote, an unbalanced quote, fields of 131072 and 131073
+    characters, whitespace-only lines and bytes that are not UTF-8."""
+    from fisherbounds.batch import CHUNK_LINES
+
+    special = [
+        b'"a,b",1000,200,250,60',
+        b'"q""x",1000,200,250,60',
+        b' "sp" ,1000,200,250,60',
+        b'"1000,200,250,60',
+        b'w"v,1000,200,250,60',
+        b"x" * 131072 + b",1000,200,250,60",
+        b"y" * 131073 + b",1000,200,250,60",
+        b"z" * 131060 + b",1000,200,250,60",
+        b"   ",
+        b"\t",
+        b" , ,\t, ,",
+        b"",
+        b"lat\xffin,1000,200,250,60",
+        b"latin,1000,2\xff0,250,60",
+        b" pad , 1000 ,200, 250,60 ",
+        b",1000,200,250,60",
+        b"neg,1000,200,250,40",
+    ]
+    lines = []
+    for i in range(3 * CHUNK_LINES):
+        n = rng.randint(5, 5000)
+        mx, ma = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        mxa = rng.randint(max(0, mx + ma - n), min(mx, ma))
+        lines.append(f"r{i},{n},{mx},{ma},{mxa}".encode())
+    for boundary in (3, CHUNK_LINES, 2 * CHUNK_LINES, 3 * CHUNK_LINES - 20):
+        around = list(special)
+        rng.shuffle(around)
+        lines[boundary - 8:boundary + 9] = around
+    endings = [b"\n", b"\r\n", b"\r"]
+    return b"\xef\xbb\xbfid,n,mx,ma,mxa\r\n" + b"".join(
+        line + rng.choice(endings) for line in lines
+    )
+
+
+# sha256 of --out, then --rejects
+EDGE_CASE_DIGESTS = {
+    "exact": "a0654217edd4da3c4d725e6d73c89924163bb27bbabdc3bf400b27b9ace437c6",
+    "no-exact-negate": "06435ca5d29c28332f317db132418af65bdc1b42c4a56fff88487649a74a1dc0",
+}
+EDGE_CASE_FLAGS = {"exact": [], "no-exact-negate": ["--no-exact", "--negate"]}
+
+
+@pytest.mark.parametrize("mode", sorted(EDGE_CASE_FLAGS))
+def test_batch_edge_case_bytes_are_pinned(mode, tmp_path, monkeypatch, capsys):
+    """The pooled command, the command on one CPU and the library path
+    all print the pinned bytes for input that takes every parsing path."""
+    import io
+
+    from fisherbounds import batch, read_table_csv, run_batch, write_batch_csv
+
+    src = tmp_path / "in.csv"
+    src.write_bytes(_edge_case_bytes(random.Random(18)))
+    flags = EDGE_CASE_FLAGS[mode]
+    texts = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
+        out, rejects = tmp_path / f"out{cpus}.csv", tmp_path / f"rejects{cpus}.csv"
+        argv = ["batch", str(src), "--out", str(out), "--rejects", str(rejects), *flags]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        texts.append(out.read_bytes() + rejects.read_bytes())
+    out, rejects = io.StringIO(), io.StringIO()
+    results = run_batch(
+        read_table_csv(str(src)), negate="--negate" in flags, include_exact="--no-exact" not in flags
+    )
+    write_batch_csv(out, results, rejects)
+    texts.append((out.getvalue() + rejects.getvalue()).encode())
+    assert texts[0] == texts[1] == texts[2]
+    assert hashlib.sha256(texts[0]).hexdigest() == EDGE_CASE_DIGESTS[mode]
