@@ -99,11 +99,20 @@ def _parse_lines(first_line_no: int, lines: Iterable[str]) -> Iterator[tuple[str
     not all blank, the first being line number first_line_no of its file.
 
     Each line is parsed on its own, so a stray quote cannot swallow the
-    lines after it; a line the csv module cannot split comes with no
-    fields.  A row without an id gets line<N>.
+    lines after it.  A line without quotes that fits the csv field size
+    limit is split at its commas, as the csv module would split it, and
+    any other line by the csv module.  A line the csv module cannot split,
+    or one that holds a NUL (which the csv module reads on some Pythons
+    only), comes with no fields.  A row without an id gets line<N>.
     """
+    limit = csv.field_size_limit()
     for line_no, line in enumerate(lines, first_line_no):
-        row = _split_line(line)
+        if "\0" in line:
+            row = None
+        elif '"' in line or len(line) > limit:
+            row = _split_line(line)
+        else:
+            row = line.rstrip("\r\n").split(",")
         if row is None:
             yield f"line{line_no}", []
         elif any(f.strip() for f in row):
@@ -213,45 +222,47 @@ def _format_log(log_value: float) -> str:
     return f"{mantissa:.6g}e{exponent:+03d}"
 
 
-def _output_row(rec: BatchRecord) -> list[str | int]:
-    """One output row; csv.writer prints the ints as str() would."""
+# an output line: ints print as str() prints them, as csv.writer does, the
+# probabilities from _format_log, since they may lie below the normal range
+_ROW = "%s,%s,%s,%s,%s,%s,%.6g,%.6g,%.6g,%s,%s,%s,%s,%s,%s,%s,%.6g,%d,%d,%d\n"
+# characters in an id that csv.writer quotes, on one Python or another
+_QUOTED = frozenset(',"\r\n\0')
+
+
+def _format_row(rec: BatchRecord) -> str:
+    """The package's one row formatter: one evaluated row as an output
+    line.  An id that is not a str, or holds a character in _QUOTED, is
+    written by csv.writer, so it is quoted as this Python quotes it."""
     r = rec.report
     t = r.table
-    chi2 = r.chi2
+    row_id = rec.row_id
+    if type(row_id) is not str or not _QUOTED.isdisjoint(row_id):
+        field = io.StringIO()
+        csv.writer(field, lineterminator="\n").writerow((row_id, ""))
+        row_id = field.getvalue()[:-2]
+    ub1, ub2, ubk = r.ub1.raw_log, r.ub2.raw_log, r.ub_k.raw_log
     p_fisher = r.p_fisher
-    return [
-        rec.row_id,
-        t.n,
-        t.mx,
-        t.ma,
-        t.mxa,
-        t.j,
-        format_float(r.lift),
-        format_float(r.leverage),
-        format_float(r.odds_ratio),
-        format_pvalue(p_fisher) if p_fisher is not None else "",
-        format_pvalue(r.ub1),
-        format_pvalue(r.ub2),
-        format_pvalue(r.ub_k),
-        r.k_used,
-        _format_log(r.log_error_bound),
-        _format_log(chi2.log_p),
-        format_float(chi2.min_expected),
-        int(r.guarantee_ub1),
-        int(r.guarantee_ub2),
-        int(r.clamped),
-    ]
+    return _ROW % (
+        row_id, t.n, t.mx, t.ma, t.mxa, t.j, r.lift, r.leverage, r.odds_ratio,
+        "" if p_fisher is None else _format_log(p_fisher.log_value),
+        _format_log(0.0 if ub1 > 0.0 else ub1),
+        _format_log(0.0 if ub2 > 0.0 else ub2),
+        _format_log(0.0 if ubk > 0.0 else ubk),
+        r.k_used, _format_log(r.log_error_bound), _format_log(r.chi2.log_p),
+        r.chi2.min_expected, r.guarantee_ub1, r.guarantee_ub2,
+        ub1 > 0.0 or ub2 > 0.0 or ubk > 0.0,
+    )
 
 
-def _write_results(writer, reject_writer, results: Iterable[BatchRecord | Reject]):
-    """The package's one row writer: each evaluated row to writer, each
+def _write_results(write, reject_writer, results: Iterable[BatchRecord | Reject]):
+    """The package's one row writer: each evaluated row to write, each
     reject to reject_writer (only counted when it is None).  Returns the
     rows written and the rejects per reason."""
     written = 0
     by_reason: dict[str, int] = {}
     for item in results:
         if isinstance(item, BatchRecord):
-            writer.writerow(_output_row(item))
+            write(_format_row(item))
             written += 1
         else:
             by_reason[item.reason] = by_reason.get(item.reason, 0) + 1
@@ -266,14 +277,13 @@ def write_batch_csv(
     """Write each result as it arrives, evaluated rows to out and rejects
     to rejects (only counted when it is None), each stream under its
     header.  Returns the rows written to out and the rejects per reason."""
-    # csv defaults to CRLF; the output contract is LF
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(OUTPUT_HEADER)
+    out.write(",".join(OUTPUT_HEADER) + "\n")
     reject_writer = None
     if rejects is not None:
+        # csv defaults to CRLF; the output contract is LF
         reject_writer = csv.writer(rejects, lineterminator="\n")
         reject_writer.writerow(REJECT_HEADER)
-    return _write_results(writer, reject_writer, results)
+    return _write_results(out.write, reject_writer, results)
 
 
 def _evaluate_chunk(
@@ -292,7 +302,7 @@ def _evaluate_chunk(
     rejects = io.StringIO() if with_rejects else None
     reject_writer = None if rejects is None else csv.writer(rejects, lineterminator="\n")
     written, by_reason = _write_results(
-        csv.writer(out, lineterminator="\n"),
+        out.write,
         reject_writer,
         (_evaluate(rid, f, k, negate, include_exact) for rid, f in _parse_lines(first_line_no, lines)),
     )

@@ -65,16 +65,16 @@ class ContingencyTable:
                 f"mxa={mxa} outside [{lo}, {hi}] for n={n}, mx={mx}, ma={ma}"
             )
         mnxa = ma - mxa
-        store = object.__setattr__
-        store(self, "n", n)
-        store(self, "mx", mx)
-        store(self, "ma", ma)
-        store(self, "mxa", mxa)
-        store(self, "mxna", mx - mxa)
-        store(self, "mnxa", mnxa)
-        store(self, "mnxna", n - mx - mnxa)
-        store(self, "delta_counts", n * mxa - mx * ma)
-        store(self, "j", hi - mxa)
+        set_n, set_mx, set_ma, set_mxa, set_mxna, set_mnxa, set_mnxna, set_delta, set_j = _SETTERS
+        set_n(self, n)
+        set_mx(self, mx)
+        set_ma(self, ma)
+        set_mxa(self, mxa)
+        set_mxna(self, mx - mxa)
+        set_mnxa(self, mnxa)
+        set_mnxna(self, n - mx - mnxa)
+        set_delta(self, n * mxa - mx * ma)
+        set_j(self, hi - mxa)
 
     def __setattr__(self, name, value=None):
         from dataclasses import FrozenInstanceError  # loaded on this error path only
@@ -104,6 +104,10 @@ class ContingencyTable:
         return self.delta_counts > 0
 
 
+# the slots' own stores, the one way into a table past its refusing __setattr__
+_SETTERS = tuple(getattr(ContingencyTable, name).__set__ for name in ContingencyTable.__slots__)
+
+
 class DerivedStats(NamedTuple):
     """Dependency measures of a table.
 
@@ -121,9 +125,10 @@ class DerivedStats(NamedTuple):
 
 def build_table(n: int, mx: int, ma: int, mxa: int) -> ContingencyTable:
     """Validate four counts and return the table they define."""
-    for name, value in (("n", n), ("mx", mx), ("ma", ma), ("mxa", mxa)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if not (type(n) is int and type(mx) is int and type(ma) is int and type(mxa) is int):
+        for name, value in (("n", n), ("mx", mx), ("ma", ma), ("mxa", mxa)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     return ContingencyTable(n, mx, ma, mxa)
 
 

@@ -15,10 +15,12 @@ keeps the accumulation well conditioned and immune to p_0 underflow.
 Each q_i is one float division of two exact integer products, matching
 the cancellation that derives the ratio in the first place.
 
-exact_fisher sums all J + 1 terms and is the reference.  _walk sums
-the same terms in the same order once for ub2, ub_k and the certified
-p_F, which stops as soon as the rest provably cannot change the double
-total, so both return the same bits.
+exact_fisher sums all J + 1 terms from TermEngine.ratios() and is the
+reference.  _walk sums the same terms in the same order once for ub2,
+ub_k and the certified p_F, which stops as soon as the rest provably
+cannot change the double total, so both return the same bits.  It
+writes q_i itself, stepping the four integer factors of the products by
+one per term.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class TermEngine(NamedTuple):
         return (t.mxna - l) * (t.mnxa - l), (t.mxa + l + 1) * (t.mnxna + l + 1)
 
     def ratios(self):
-        """Yield q_1 .. q_J in order; the hot loop inlines _ratio_parts."""
+        """Yield q_1 .. q_J in order, for exact_fisher; _walk steps the same
+        four factors of _ratio_parts inline."""
         t = self.table
         mxa, mxna, mnxa, mnxna = t.mxa, t.mxna, t.mnxa, t.mnxna
         for i in range(1, self.j + 1):
@@ -147,30 +150,8 @@ def exact_fisher(engine: TermEngine) -> PValue:
 
 def _log_tail_factor(engine: TermEngine, l: int) -> float:
     """ln(q^2 / (1 - q)) for q = q_{l+1}, from exact integer products."""
-    return _log_factor(*engine._ratio_parts(l))
-
-
-def _log_factor(a: int, b: int) -> float:
-    """ln(q^2 / (1 - q)) for q = a / b."""
-    return 2.0 * math.log(a) - math.log(b) - math.log(b - a)
-
-
-def _tail(engine: TermEngine, l: int, total: float, comp: float, prod: float):
-    """ln of the sum closed at term l by a geometric tail in q = q_{l+1}
-    (total - comp sums terms 0 .. l - 1, prod is term l), and ln of its
-    error ceiling p_0 q^2 / (1 - q), -inf if l = J."""
     a, b = engine._ratio_parts(l)
-    if a >= b:
-        # q < 1 is proven under positive dependency; guards the division below
-        raise RuntimeError(f"ratio q_{l + 1} >= 1 on {engine.table}")
-    d = (b - a) / b
-    if d == 1.0:
-        # q is 0 (l = J) or rounded away entirely; the series is 1
-        geometric = 1.0
-    else:
-        geometric = -math.expm1((engine.j - l + 1) * math.log1p(-d)) / d
-    log_ceiling = engine.log_p0 + _log_factor(a, b) if a else -math.inf
-    return engine.log_p0 + math.log(total + (prod * geometric - comp)), log_ceiling
+    return 2.0 * math.log(a) - math.log(b) - math.log(b - a)
 
 
 # Rounding below the normal range adds at most 2^-1075 per product;
@@ -185,7 +166,11 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     ceiling, p_F or None).  A geometric tail closes the prefix sum at
     term 0 for ub2 and at term k - 1 for ub_k, which is the full sum
     once k - 1 > J.  The walk ends at the later of term k - 1 and, if
-    exact, the certified stop below.
+    exact, the certified stop below.  Its state is (x, y, u, v, total,
+    comp, prod, remaining): after term l, the next ratio q_{l+1} is the
+    float division (x y) / (u v) of two exact integer products, with x =
+    mxna - l, y = mnxa - l, u = mxa + l + 1 and v = mnxna + l + 1, the
+    values ratios() divides.
 
     p_F sums the terms of exact_fisher in the same compensated order and
     stops before the next term when the running product prod has
@@ -233,40 +218,65 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        and comparing with the float ulp(total) / 2 are monotone, so the
        test passing implies 2S - comp < ulp(total) / 2, and 3 applies.
     """
-    j = engine.j
-    log_ub2, log_err_ub2 = _tail(engine, 0, 0.0, 0.0, 1.0)
+    table, j, log_p0 = engine.table, engine.j, engine.log_p0
+    log, log1p, expm1 = math.log, math.log1p, math.expm1
+    # the factors of q_{l+1} = (x y) / (u v), here for l = 0, stepped by one per term
+    x, y, u, v = table.mxna, table.mnxa, table.mxa + 1, table.mnxna + 1
+    a, b = x * y, u * v
+    if a >= b:
+        # q < 1 is proven under positive dependency; guards the tails' division
+        raise RuntimeError(f"ratio q_1 >= 1 on {table}")
+    # ub2: the sum closed at term 0 by a geometric tail in q_1, and ln of its
+    # error ceiling p_0 q^2 / (1 - q); q = 0 (J = 0) leaves 1 and -inf
+    d = (b - a) / b
+    geometric = 1.0 if d == 1.0 else -expm1((j + 1) * log1p(-d)) / d
+    log_ub2 = log_p0 + log(geometric)
+    log_err_ub2 = log_p0 + (2.0 * log(a) - log(b) - log(b - a)) if a else -math.inf
     log_ubk, log_err_ubk = log_ub2, log_err_ub2
     p_fisher = None
     ulp = math.ulp
     slack = j * _SUBNORMAL_SLACK
     total, comp, prod = 1.0, 0.0, 1.0  # term 0 added to the state (0, 0, 1)
-    remaining = j  # unsummed terms
+    half_ulp = 2.0**-53  # ulp(total) / 2
     tail_left = j + 2 - k  # remaining when term k - 1 comes up
-    for q in engine.ratios():
+    for remaining in range(j, 0, -1):  # unsummed terms
+        q = (x * y) / (u * v)
         if exact:
             g = q / (1.0 - q)
             if g > remaining:
                 g = remaining
-            if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
-                p_fisher = PValue(engine.log_p0 + math.log(total), j + 1 - remaining)
+            if prod == 0.0 or 2.5 * prod * g + slack - comp < half_ulp:
+                p_fisher = PValue(log_p0 + log(total), j + 1 - remaining)
                 if remaining < tail_left:
                     break
                 exact = False
         elif remaining < tail_left:
             break
         prod *= q
+        x -= 1
+        y -= 1
+        u += 1
+        v += 1
         if remaining == tail_left:
-            log_ubk, log_err_ubk = _tail(engine, k - 1, total, comp, prod)
-        y = prod - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        remaining -= 1
+            # ub_k: closed at term k - 1 as ub2 is at term 0, in q_k = a / b
+            a, b = x * y, u * v
+            if a >= b:
+                raise RuntimeError(f"ratio q_{k} >= 1 on {table}")
+            d = (b - a) / b
+            geometric = 1.0 if d == 1.0 else -expm1(remaining * log1p(-d)) / d
+            log_ubk = log_p0 + log(total + (prod * geometric - comp))
+            log_err_ubk = log_p0 + (2.0 * log(a) - log(b) - log(b - a)) if a else -math.inf
+        w = prod - comp
+        s = total + w
+        comp = (s - total) - w
+        if exact and s != total:
+            half_ulp = 0.5 * ulp(s)
+        total = s
     else:
         if exact:
-            p_fisher = PValue(engine.log_p0 + math.log(total), j + 1)
+            p_fisher = PValue(log_p0 + log(total), j + 1)
         if tail_left < 1:
-            log_ubk, log_err_ubk = engine.log_p0 + math.log(total), -math.inf
+            log_ubk, log_err_ubk = log_p0 + log(total), -math.inf
     ub_k = PValue(log_ubk, min(k, j + 1))
     return PValue(log_ub2, 1), log_err_ub2, ub_k, log_err_ubk, p_fisher
 

@@ -421,6 +421,18 @@ class TestMalformedLines:
         assert evaluated == ["ok"]
         assert rejected == [f"latin,{REASON_BAD_ROW},expected four integer counts"]
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"x\x00y,18498,1954,6749,1016\n", b'"x\x00y",18498,1954,6749,1016\n'],
+        ids=["plain", "quoted"],
+    )
+    def test_nul_rejects_only_its_line_on_every_python(self, tmp_path, data):
+        # the csv module reads a NUL on 3.11 and later but refuses it on 3.10
+        evaluated, rejected = self._run(tmp_path, data)
+        assert evaluated == ["ok"]
+        assert rejected == [f"line2,{REASON_BAD_ROW},expected four integer counts"]
+        assert b"\x00" not in (tmp_path / "out.csv").read_bytes()
+
     def test_unbalanced_quote_rejects_only_its_line(self, tmp_path):
         evaluated, rejected = self._run(
             tmp_path,
