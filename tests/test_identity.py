@@ -11,11 +11,21 @@ whose libm rounds differently would need digests of its own.
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 
 import pytest
 
-from fisherbounds import report
+from fisherbounds import (
+    batch,
+    build_table,
+    negate_consequent,
+    read_table_csv,
+    report,
+    run_batch,
+    write_batch_csv,
+)
+from fisherbounds.batch import CHUNK_LINES
 from fisherbounds.cli import EXIT_OK, main
 
 from conftest import iter_exhaustive
@@ -183,8 +193,6 @@ def _walk_pin_tables() -> list:
     n = 1e6 (some of them near independence, so the certified stop comes
     late), strong tables within 5000 of 2^50 drawn as the batch corpus
     draws them, and tables with J in {0, 1, 2}."""
-    from fisherbounds import build_table, negate_consequent
-
     rng = random.Random(1818)
     tables = []
     for i in range(1500):
@@ -234,8 +242,6 @@ def _edge_case_bytes(rng: random.Random) -> bytes:
     lone-CR line endings: valid rows, and ids quoted with a comma or a
     doubled quote, an unbalanced quote, fields of 131072 and 131073
     characters, whitespace-only lines and bytes that are not UTF-8."""
-    from fisherbounds.batch import CHUNK_LINES
-
     special = [
         b'"a,b",1000,200,250,60',
         b'"q""x",1000,200,250,60',
@@ -283,10 +289,6 @@ EDGE_CASE_FLAGS = {"exact": [], "no-exact-negate": ["--no-exact", "--negate"]}
 def test_batch_edge_case_bytes_are_pinned(mode, tmp_path, monkeypatch, capsys):
     """The pooled command, the command on one CPU and the library path
     all print the pinned bytes for input that takes every parsing path."""
-    import io
-
-    from fisherbounds import batch, read_table_csv, run_batch, write_batch_csv
-
     src = tmp_path / "in.csv"
     src.write_bytes(_edge_case_bytes(random.Random(18)))
     flags = EDGE_CASE_FLAGS[mode]
