@@ -10,9 +10,10 @@ Three bounds, ordered ub_k <= ub2 <= ub1 and all above p_F:
         geometric series in q_k; ub2 is the k = 1 member.
 
 ub2, ub_k and p_F are prefixes of one series, which report walks once
-(exact._walk).  Every bound costs O(1) beyond the k exact terms, versus
-O(J) for the full sum.  The guarantee predicates give lift thresholds
-under which the absolute error is at most p_0.
+(exact._walk): one closing ends it with a geometric tail at term 0 for
+ub2 and at term k - 1 for ub_k.  Every bound costs O(1) beyond the k
+exact terms, versus O(J) for the full sum.  The guarantee predicates
+give lift thresholds under which the absolute error is at most p_0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import NamedTuple
 from .chi2 import Chi2Result, chi2_one_sided
 from .contingency import ContingencyTable, DerivedStats, _measures
 from .errors import InvalidK
-from .exact import PValue, TermEngine, _log_tail_factor, _walk, make_term_engine
+from .exact import PValue, TermEngine, _walk, make_term_engine
+from .exact import _log_tail_factor  # unused here; tests/test_acceptance.py imports it from bounds
 
 __all__ = [
     "ApproxReport",
@@ -67,10 +69,10 @@ def ub1(engine: TermEngine) -> PValue:
 def ub_k(engine: TermEngine, k: int) -> PValue:
     """First k terms exact, the rest bounded geometrically in q_k.
 
-    exact._walk up to term k - 1.  Once k - 1 >= J every term is summed
-    exactly and the result equals exact_fisher's bit for bit.
-    terms_evaluated records min(k, J + 1), the number of exactly
-    computed terms.
+    The closing of exact._walk at term min(k, J + 1) - 1.  Once k - 1 >=
+    J that is term J, whose tail holds that term alone, so the result is
+    the full sum and equals exact_fisher's bit for bit.  terms_evaluated
+    records min(k, J + 1), the number of exactly computed terms.
     """
     _require_k(k)
     return _walk(engine, k, False)[2]
@@ -87,10 +89,10 @@ def ub2(engine: TermEngine) -> PValue:
 def error_bound_ub2(engine: TermEngine) -> float:
     """Ceiling on ub2 - p_F: p_0 q_1^2 / (1 - q_1), or 0 when J = 0.
 
-    report carries its log, which stays finite where this linear value
-    underflows.
+    The exp of the log that exact._walk's closing gives and report
+    carries, which stays finite where this linear value underflows.
     """
-    return math.exp(engine.log_p0 + _log_tail_factor(engine, 0)) if engine.j else 0.0
+    return math.exp(_walk(engine, 1, False)[1])
 
 
 class GuaranteeFlags(NamedTuple):

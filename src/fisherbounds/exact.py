@@ -16,11 +16,11 @@ Each q_i is one float division of two exact integer products, matching
 the cancellation that derives the ratio in the first place.
 
 exact_fisher sums all J + 1 terms from TermEngine.ratios() and is the
-reference.  _walk sums the same terms in the same order once for ub2,
-ub_k and the certified p_F, which stops as soon as the rest provably
-cannot change the double total, so both return the same bits.  It
-writes q_i itself, stepping the four integer factors of the products by
-one per term.
+reference; ratios() writes q_i apart from _walk on purpose.  _walk sums
+the same terms in the same order in one pass, stepping the four integer
+factors of q_i, and one closing in it ends the sum with a geometric tail
+for ub2 and for ub_k.  Its certified p_F stops once the rest provably
+cannot change the double total, so it returns exact_fisher's bits.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class TermEngine(NamedTuple):
         return (t.mxna - l) * (t.mnxa - l), (t.mxa + l + 1) * (t.mnxna + l + 1)
 
     def ratios(self):
-        """Yield q_1 .. q_J in order, for exact_fisher; _walk steps the same
-        four factors of _ratio_parts inline."""
+        """Yield q_1 .. q_J for the reference exact_fisher; written apart
+        from _walk's stepped factors, so the walk is tested against it."""
         t = self.table
         mxa, mxna, mnxa, mnxna = t.mxa, t.mxna, t.mnxa, t.mnxna
         for i in range(1, self.j + 1):
@@ -148,10 +148,14 @@ def exact_fisher(engine: TermEngine) -> PValue:
     return PValue(engine.log_p0 + math.log(total), engine.j + 1)
 
 
+def _log_ceiling(a: int, b: int) -> float:
+    """ln(q^2 / (1 - q)) for q = a / b, 0 <= a < b exact integers; -inf at q = 0."""
+    return 2.0 * math.log(a) - math.log(b) - math.log(b - a) if a else -math.inf
+
+
 def _log_tail_factor(engine: TermEngine, l: int) -> float:
     """ln(q^2 / (1 - q)) for q = q_{l+1}, from exact integer products."""
-    a, b = engine._ratio_parts(l)
-    return 2.0 * math.log(a) - math.log(b) - math.log(b - a)
+    return _log_ceiling(*engine._ratio_parts(l))
 
 
 # Rounding below the normal range adds at most 2^-1075 per product;
@@ -163,32 +167,39 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     """One compensated pass over 1, q_1, q_1 q_2, ... for ub2, ub_k and p_F.
 
     Returns (ub2, ln of its error ceiling, ub_k, ln of its error
-    ceiling, p_F or None).  A geometric tail closes the prefix sum at
-    term 0 for ub2 and at term k - 1 for ub_k, which is the full sum
-    once k - 1 > J.  The walk ends at the later of term k - 1 and, if
-    exact, the certified stop below.  Its state is (x, y, u, v, total,
-    comp, prod, remaining): after term l, the next ratio q_{l+1} is the
-    float division (x y) / (u v) of two exact integer products, with x =
-    mxna - l, y = mnxa - l, u = mxa + l + 1 and v = mnxna + l + 1, the
-    values ratios() divides.
+    ceiling, p_F or None).  The state (x, y, u, v, total, comp, prod,
+    remaining) starts from (total, comp, prod) = (0, 0, 1).  At term l,
+    prod = q_1 ... q_l, remaining = J - l terms follow, and q_{l+1} is
+    the float division a / b of a = x y and b = u v, exact products of x
+    = mxna - l, y = mnxa - l, u = mxa + l + 1 and v = mnxna + l + 1, the
+    values ratios() divides.  Each term closes a tail if one is due, adds
+    prod in a Kahan step, runs the stop test below with q = a / b, and
+    steps prod and the four factors.
+
+    A closing adds prod (1 + q + ... + q^(J-l)) in q = q_{l+1} to the sum
+    so far, with the error ceiling p_0 q^2 / (1 - q): at term 0 for ub2
+    and at term min(k, J + 1) - 1 for ub_k.  At term J, q_{J+1} = 0, so
+    the tail is prod, the ceiling 0 and the closed sum the full sum.  The
+    walk ends at the later of ub_k's closing and, if exact, the stop.
 
     p_F sums the terms of exact_fisher in the same compensated order and
-    stops before the next term when the running product prod has
-    underflowed to 0.0, or when the float test
+    stops after term l when the running product prod has underflowed to
+    0.0, or when the float test
 
         2.5 prod min(q / (1 - q), L) + J 2^-1021 - comp < ulp(total) / 2
 
-    holds, with q the next ratio and L the number of unsummed terms.
-    raw_log therefore equals exact_fisher's bit for bit, and
-    terms_evaluated counts the terms actually summed: a few dozen on
-    strong tables, O(sqrt n) near independence, never more than J + 1.
+    holds, with L = remaining the number of unsummed terms.  raw_log
+    therefore equals exact_fisher's bit for bit, and terms_evaluated
+    counts the terms actually summed: a few dozen on strong tables,
+    O(sqrt n) near independence, never more than J + 1.
 
     Why the unsummed terms cannot change total (u = 2^-53, rounding to
     nearest):
 
-    1. total >= 1 dominates every added y, so each Kahan step is an
-       error-free transformation: -comp is exactly the true running sum
-       minus total, so total - comp rounds to total.
+    1. The test runs only after term 0, whose Kahan step from (0, 0, 1)
+       is exact.  From then on total >= 1 dominates every added y, so
+       each Kahan step is an error-free transformation: -comp is exactly
+       the true running sum minus total, so total - comp rounds to total.
     2. Let c_1 .. c_L be the products the full sum would still add and S
        their sum.  A step that leaves total fixed sets comp to -y, so the
        low part r = -comp evolves as r <- fl(r + c).  For a float r and
@@ -219,66 +230,52 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        test passing implies 2S - comp < ulp(total) / 2, and 3 applies.
     """
     table, j, log_p0 = engine.table, engine.j, engine.log_p0
-    log, log1p, expm1 = math.log, math.log1p, math.expm1
-    # the factors of q_{l+1} = (x y) / (u v), here for l = 0, stepped by one per term
+    log, log1p, expm1, ulp = math.log, math.log1p, math.expm1, math.ulp
     x, y, u, v = table.mxna, table.mnxa, table.mxa + 1, table.mnxna + 1
-    a, b = x * y, u * v
-    if a >= b:
-        # q < 1 is proven under positive dependency; guards the tails' division
-        raise RuntimeError(f"ratio q_1 >= 1 on {table}")
-    # ub2: the sum closed at term 0 by a geometric tail in q_1, and ln of its
-    # error ceiling p_0 q^2 / (1 - q); q = 0 (J = 0) leaves 1 and -inf
-    d = (b - a) / b
-    geometric = 1.0 if d == 1.0 else -expm1((j + 1) * log1p(-d)) / d
-    log_ub2 = log_p0 + log(geometric)
-    log_err_ub2 = log_p0 + (2.0 * log(a) - log(b) - log(b - a)) if a else -math.inf
-    log_ubk, log_err_ubk = log_ub2, log_err_ub2
-    p_fisher = None
-    ulp = math.ulp
     slack = j * _SUBNORMAL_SLACK
-    total, comp, prod = 1.0, 0.0, 1.0  # term 0 added to the state (0, 0, 1)
-    half_ulp = 2.0**-53  # ulp(total) / 2
-    tail_left = j + 2 - k  # remaining when term k - 1 comes up
-    for remaining in range(j, 0, -1):  # unsummed terms
-        q = (x * y) / (u * v)
+    total, comp, prod = 0.0, 0.0, 1.0
+    p_fisher = None
+    ends = []  # (ln upper end, ln error ceiling) of each closing: ub2's first, ub_k's last
+    ubk_left = j + 1 - k if k <= j else 0  # remaining at ub_k's closing
+    due = j  # remaining at the next closing, ub2's first; -1 once none is left
+    for remaining in range(j, -1, -1):
+        a, b = x * y, u * v
+        if remaining == due:
+            if a >= b:
+                # q < 1 is proven under positive dependency; guards the division by b - a
+                raise RuntimeError(f"ratio q_{j + 1 - remaining} >= 1 on {table}")
+            d = (b - a) / b
+            geometric = 1.0 if d == 1.0 else -expm1((remaining + 1) * log1p(-d)) / d
+            closed = total + (prod * geometric - comp)
+            ends.append((log_p0 + log(closed), log_p0 + _log_ceiling(a, b)))
+            due = ubk_left if remaining > ubk_left else -1
+        w = prod - comp
+        s = total + w
+        comp = (s - total) - w
+        if exact and s != total:
+            half_ulp = 0.5 * ulp(s)  # ulp(total) / 2; term 0 sets it to 2^-53
+        total = s
+        q = a / b
         if exact:
             g = q / (1.0 - q)
             if g > remaining:
                 g = remaining
             if prod == 0.0 or 2.5 * prod * g + slack - comp < half_ulp:
                 p_fisher = PValue(log_p0 + log(total), j + 1 - remaining)
-                if remaining < tail_left:
+                if remaining <= ubk_left:
                     break
                 exact = False
-        elif remaining < tail_left:
+        elif remaining <= ubk_left:
             break
         prod *= q
         x -= 1
         y -= 1
         u += 1
         v += 1
-        if remaining == tail_left:
-            # ub_k: closed at term k - 1 as ub2 is at term 0, in q_k = a / b
-            a, b = x * y, u * v
-            if a >= b:
-                raise RuntimeError(f"ratio q_{k} >= 1 on {table}")
-            d = (b - a) / b
-            geometric = 1.0 if d == 1.0 else -expm1(remaining * log1p(-d)) / d
-            log_ubk = log_p0 + log(total + (prod * geometric - comp))
-            log_err_ubk = log_p0 + (2.0 * log(a) - log(b) - log(b - a)) if a else -math.inf
-        w = prod - comp
-        s = total + w
-        comp = (s - total) - w
-        if exact and s != total:
-            half_ulp = 0.5 * ulp(s)
-        total = s
-    else:
-        if exact:
-            p_fisher = PValue(log_p0 + log(total), j + 1)
-        if tail_left < 1:
-            log_ubk, log_err_ubk = log_p0 + log(total), -math.inf
-    ub_k = PValue(log_ubk, min(k, j + 1))
-    return PValue(log_ub2, 1), log_err_ub2, ub_k, log_err_ubk, p_fisher
+    else:  # only the exact sum, its stop test failing at term J, gets here
+        p_fisher = PValue(log_p0 + log(total), j + 1)
+    (log_ub2, log_err_ub2), (log_ubk, log_err_ubk) = ends[0], ends[-1]
+    return PValue(log_ub2, 1), log_err_ub2, PValue(log_ubk, j + 1 - ubk_left), log_err_ubk, p_fisher
 
 
 def exact_fisher_certified(engine: TermEngine) -> PValue:

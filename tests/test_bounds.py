@@ -22,6 +22,7 @@ from fisherbounds import (
     derive_stats,
     error_bound_ub2,
     exact_fisher,
+    exact_fisher_certified,
     guarantees,
     make_term_engine,
     report,
@@ -410,23 +411,34 @@ class TestReport:
 
 
 class TestOnePass:
-    """report walks the ratio sequence once; each value keeps the bits of
-    its own separate walk: ub2 and ub_k of _two_pass_ub_k, and p_F of the
-    full O(J) sum."""
+    """report walks the ratio sequence once, with or without the exact sum;
+    each value keeps the bits of its own separate walk: ub2 and ub_k of
+    _two_pass_ub_k, p_F of the full O(J) sum and both error ceilings of
+    _log_tail_factor, -inf once no tail is left (J = 0 for ub2, k > J for
+    ub_k)."""
 
     @staticmethod
     def _check(tables) -> None:
         for t in tables:
             engine = make_term_engine(t)
+            j, log_p0 = t.j, engine.log_p0
             ub2_bits = _two_pass_ub_k(engine, 1)
-            p_bits = exact_fisher(engine).raw_log
-            for k in {1, 2, 3, 5, t.j + 1, t.j + 2}:
-                rep = report(t, k=k)
-                assert rep.ub2.raw_log == ub2_bits, (t, k)
-                assert rep.ub_k.raw_log == _two_pass_ub_k(engine, k), (t, k)
-                assert rep.p_fisher.raw_log == p_bits, (t, k)
-                if k > t.j:
-                    assert rep.ub_k.raw_log == p_bits, (t, k)
+            err_ub2 = log_p0 + _log_tail_factor(engine, 0) if j else -math.inf
+            p_fisher = exact_fisher_certified(engine)
+            assert p_fisher.raw_log == exact_fisher(engine).raw_log, t
+            for k in {1, 2, 3, 5, j + 1, j + 2}:
+                ubk_bits = _two_pass_ub_k(engine, k)
+                err_ubk = log_p0 + _log_tail_factor(engine, k - 1) if k <= j else -math.inf
+                for include_exact in (True, False):
+                    rep = report(t, k=k, include_exact=include_exact)
+                    assert rep.ub2.raw_log == ub2_bits, (t, k)
+                    assert rep.ub_k.raw_log == ubk_bits, (t, k)
+                    assert rep.ub_k.terms_evaluated == min(k, j + 1), (t, k)
+                    assert rep.log_error_bound_ub2 == err_ub2, (t, k)
+                    assert rep.log_error_bound == err_ubk, (t, k)
+                    assert rep.p_fisher == (p_fisher if include_exact else None), (t, k)
+                    if k > j:
+                        assert rep.ub_k.raw_log == p_fisher.raw_log, (t, k)
 
     def test_exhaustive_corpus(self):
         self._check(iter_exhaustive(positive_only=True))

@@ -147,7 +147,7 @@ class TestTermEngine:
             assert q == pytest.approx(float(expected), rel=1e-15)
 
     def test_ratios_generator_equals_indexed_access(self):
-        # the hot generator inlines _ratio_parts, which the geometric tails use
+        # ratios() writes q_i apart from _ratio_parts, which only _log_tail_factor uses
         t = build_table(80, 25, 30, 15)
         engine = make_term_engine(t)
         assert list(engine.ratios()) == [
