@@ -235,19 +235,19 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     slack = j * _SUBNORMAL_SLACK
     total, comp, prod = 0.0, 0.0, 1.0
     p_fisher = None
-    ends = []  # (ln upper end, ln error ceiling) of each closing: ub2's first, ub_k's last
+    ends = []  # (upper end, ln error ceiling) of each closing: ub2's first, ub_k's last
     ubk_left = j + 1 - k if k <= j else 0  # remaining at ub_k's closing
     due = j  # remaining at the next closing, ub2's first; -1 once none is left
     for remaining in range(j, -1, -1):
-        a, b = x * y, u * v
         if remaining == due:
+            a, b = x * y, u * v
             if a >= b:
                 # q < 1 is proven under positive dependency; guards the division by b - a
                 raise RuntimeError(f"ratio q_{j + 1 - remaining} >= 1 on {table}")
             d = (b - a) / b
             geometric = 1.0 if d == 1.0 else -expm1((remaining + 1) * log1p(-d)) / d
-            closed = total + (prod * geometric - comp)
-            ends.append((log_p0 + log(closed), log_p0 + _log_ceiling(a, b)))
+            closed = PValue(log_p0 + log(total + (prod * geometric - comp)), j + 1 - remaining)
+            ends.append((closed, log_p0 + _log_ceiling(a, b)))
             due = ubk_left if remaining > ubk_left else -1
         w = prod - comp
         s = total + w
@@ -255,7 +255,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         if exact and s != total:
             half_ulp = 0.5 * ulp(s)  # ulp(total) / 2; term 0 sets it to 2^-53
         total = s
-        q = a / b
+        q = (x * y) / (u * v)
         if exact:
             g = q / (1.0 - q)
             if g > remaining:
@@ -274,8 +274,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         v += 1
     else:  # only the exact sum, its stop test failing at term J, gets here
         p_fisher = PValue(log_p0 + log(total), j + 1)
-    (log_ub2, log_err_ub2), (log_ubk, log_err_ubk) = ends[0], ends[-1]
-    return PValue(log_ub2, 1), log_err_ub2, PValue(log_ubk, j + 1 - ubk_left), log_err_ubk, p_fisher
+    return ends[0] + ends[-1] + (p_fisher,)
 
 
 def exact_fisher_certified(engine: TermEngine) -> PValue:
