@@ -176,11 +176,12 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     prod in a Kahan step, runs the stop test below with q = a / b, and
     steps prod and the four factors.
 
-    A closing adds prod (1 + q + ... + q^(J-l)) in q = q_{l+1} to the sum
-    so far, with the error ceiling p_0 q^2 / (1 - q): at term 0 for ub2
-    and at term min(k, J + 1) - 1 for ub_k.  At term J, q_{J+1} = 0, so
-    the tail is prod, the ceiling 0 and the closed sum the full sum.  The
-    walk ends at the later of ub_k's closing and, if exact, the stop.
+    A closing at term l adds prod (1 + q + ... + q^(J-l)) in q = q_{l+1}
+    to the sum so far, takes p_0 q^2 / (1 - q) as its error ceiling and
+    counts l + 1 exact terms.  ub2 closes at term 0, ub_k at term min(k,
+    J + 1) - 1.  At term J, q_{J+1} = 0, so the tail is prod, the ceiling
+    0 and the closed sum the full sum.  The walk ends at the later of
+    ub_k's closing and, if exact, the stop.
 
     p_F sums the terms of exact_fisher in the same compensated order and
     stops after term l when the running product prod has underflowed to
@@ -249,6 +250,8 @@ def _walk(engine: TermEngine, k: int, exact: bool):
             closed = PValue(log_p0 + log(total + (prod * geometric - comp)), j + 1 - remaining)
             ends.append((closed, log_p0 + _log_ceiling(a, b)))
             due = ubk_left if remaining > ubk_left else -1
+            if due < 0 and not exact:
+                break
         w = prod - comp
         s = total + w
         comp = (s - total) - w
@@ -265,8 +268,6 @@ def _walk(engine: TermEngine, k: int, exact: bool):
                 if remaining <= ubk_left:
                     break
                 exact = False
-        elif remaining <= ubk_left:
-            break
         prod *= q
         x -= 1
         y -= 1
