@@ -5,10 +5,12 @@ output row; invalid rows go to a rejects stream with a reason code, and
 every input row lands in exactly one of the two.  Floats print with six
 significant digits, so batch output is a pure function of batch input.
 
+Every CSV file the package reads, input or output, goes through
+_read_chunks, which checks its header at the call, and _parse_lines.
 The library path (read_table_csv, run_batch, write_batch_csv) is one
 lazy pass, row by row.  The batch command reads the input in chunks of
-CHUNK_LINES raw lines, each evaluated and formatted to text by
-_evaluate_chunk.  An input of one chunk is evaluated in-process; a
+CHUNK_LINES raw lines, each evaluated by run_batch and formatted to text
+by _evaluate_chunk.  An input of one chunk is evaluated in-process; a
 longer one goes to a pool of one worker process per usable CPU, with at
 most two chunks per worker in flight, and the texts are written in input
 order.  Both give the bytes the library path gives.  Every way the run
@@ -80,10 +82,10 @@ class Reject(NamedTuple):
 def read_table_csv(path: str) -> Iterator[tuple[str, list[str]]]:
     """Rows of an id,n,mx,ma,mxa file as (id, remaining fields) pairs, lazily.
 
-    The header is checked at the call; the rows are read as they are
-    consumed, and each line is parsed as _parse_lines parses it.
+    The header is checked at the call, by _read_chunks; the rows are read
+    as they are consumed, and each line is parsed as _parse_lines parses it.
     """
-    return (row for first, lines in _input_chunks(path) for row in _parse_lines(first, lines))
+    return (row for first, lines in _read_chunks(path, INPUT_HEADER) for row in _parse_lines(first, lines))
 
 
 def _split_line(line: str) -> list[str] | None:
@@ -119,36 +121,30 @@ def _parse_lines(first_line_no: int, lines: Iterable[str]) -> Iterator[tuple[str
             yield row[0].strip() or f"line{line_no}", [f.strip() for f in row[1:]]
 
 
-def _read_chunks(path: str):
-    """The header names, stripped and lower-cased, then the lines after it
-    as (first line number, up to CHUNK_LINES raw lines) chunks, lazily.
+def _read_chunks(path: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The package's one CSV reader: the lines after a file's header as
+    (first line number, up to CHUNK_LINES raw lines) chunks, lazily.
 
-    A byte-order mark is dropped and bytes that are not UTF-8 read as
-    U+FFFD.
+    The header names, stripped and lower-cased, are checked at the call,
+    a ValueError unless they are header.  A byte-order mark is dropped and
+    bytes that are not UTF-8 read as U+FFFD.
     """
+    chunks = _chunks(path, header)
+    next(chunks)  # opens the file and checks its header
+    return chunks
+
+
+def _chunks(path: str, header: tuple[str, ...]):
+    """_read_chunks's generator.  It pauses after the header check, so the
+    check runs at the call and the file is closed however the chunks end."""
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
-        yield tuple(h.strip().lower() for h in _split_line(fh.readline()) or ())
+        if tuple(h.strip().lower() for h in _split_line(fh.readline()) or ()) != header:
+            raise ValueError(f"expected header {','.join(header)!r} in {path}")
+        yield None
         line_no = 2
         while lines := list(islice(fh, CHUNK_LINES)):
             yield line_no, lines
             line_no += len(lines)
-
-
-def _input_chunks(path: str) -> Iterator[tuple[int, list[str]]]:
-    """The chunks of an id,n,mx,ma,mxa file; the header is checked at the call."""
-    chunks = _read_chunks(path)
-    if next(chunks) != INPUT_HEADER:
-        raise ValueError(f"expected header {','.join(INPUT_HEADER)!r} in {path}")
-    return chunks
-
-
-def _read_rows(path: str):
-    """The package's one CSV reader: the header names, then (id, fields)
-    for each line, as _read_chunks and _parse_lines read them."""
-    chunks = _read_chunks(path)
-    yield next(chunks)
-    for first, lines in chunks:
-        yield from _parse_lines(first, lines)
 
 
 def _evaluate(
@@ -292,21 +288,18 @@ def _evaluate_chunk(
     k: int,
     negate: bool,
     include_exact: bool,
-    with_rejects: bool,
-) -> tuple[str, str | None, int, dict[str, int]]:
-    """One chunk of input lines, parsed, evaluated and written as
-    write_batch_csv writes them, without the headers: the output text,
-    the rejects text (None without with_rejects), the rows written and
-    the rejects per reason.  Worker processes run it on their chunks."""
-    out = io.StringIO()
-    rejects = io.StringIO() if with_rejects else None
-    reject_writer = None if rejects is None else csv.writer(rejects, lineterminator="\n")
+) -> tuple[str, str, int, dict[str, int]]:
+    """One chunk of input lines, parsed, evaluated by run_batch and written
+    as write_batch_csv writes them, without the headers: the output text,
+    the rejects text, the rows written and the rejects per reason.  Worker
+    processes run it on their chunks."""
+    out, rejects = io.StringIO(), io.StringIO()
     written, by_reason = _write_results(
         out.write,
-        reject_writer,
-        (_evaluate(rid, f, k, negate, include_exact) for rid, f in _parse_lines(first_line_no, lines)),
+        csv.writer(rejects, lineterminator="\n"),
+        run_batch(_parse_lines(first_line_no, lines), k, negate, include_exact),
     )
-    return out.getvalue(), None if rejects is None else rejects.getvalue(), written, by_reason
+    return out.getvalue(), rejects.getvalue(), written, by_reason
 
 
 def _usable_cpus() -> int:
@@ -367,18 +360,12 @@ def _write_chunks(
     include_exact: bool,
 ) -> tuple[int, dict[str, int]]:
     """The batch command's run: write_batch_csv's bytes for the rows of
-    chunks (from _input_chunks), evaluated in-process when they are one
+    chunks (from _read_chunks), evaluated in-process when they are one
     chunk or one CPU is usable, else by one worker process per usable
     CPU, but no more workers than the chunks of the first window.  Every
     exit path, an error included, ends the workers first."""
     write_batch_csv(out, (), rejects)  # the headers
-    evaluate = partial(
-        _evaluate_chunk,
-        k=k,
-        negate=negate,
-        include_exact=include_exact,
-        with_rejects=rejects is not None,
-    )
+    evaluate = partial(_evaluate_chunk, k=k, negate=negate, include_exact=include_exact)
     workers = _usable_cpus()
     head = list(islice(chunks, 2 * workers))
     workers = min(workers, len(head))

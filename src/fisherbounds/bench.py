@@ -106,11 +106,12 @@ def run_bench(
     ]
 
 
-def bounds_flat_within(results: Sequence[BenchResult], factor: float = 2.0) -> bool:
-    """True when every bound's per-call time varies at most by factor."""
+def bounds_flat_within(results: Sequence[BenchResult]) -> bool:
+    """True when every bound's per-call time varies at most by a factor of
+    2 across the sizes, the flatness acceptance criterion 7 asks for."""
     for name in MEASURE_NAMES[1:]:  # the bounds, after "exact"
         times = [r.seconds_per_call[name] for r in results]
-        if max(times) > factor * min(times):
+        if max(times) > 2.0 * min(times):
             return False
     return True
 

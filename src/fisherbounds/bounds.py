@@ -24,8 +24,7 @@ from typing import NamedTuple
 from .chi2 import Chi2Result, chi2_one_sided
 from .contingency import ContingencyTable, DerivedStats, _measures
 from .errors import InvalidK
-from .exact import PValue, TermEngine, _walk, make_term_engine
-from .exact import _log_tail_factor  # unused here; tests/test_acceptance.py imports it from bounds
+from .exact import PValue, TermEngine, _log_ceiling, _walk, make_term_engine
 
 __all__ = [
     "ApproxReport",
@@ -84,6 +83,15 @@ def ub2(engine: TermEngine) -> PValue:
     The k = 1 member of ub_k, so a J = 0 table returns exactly p_0.
     """
     return ub_k(engine, 1)
+
+
+def _log_tail_factor(engine: TermEngine, l: int) -> float:
+    """ln(q^2 / (1 - q)) for q = q_{l+1}, from its exact integer factors
+    read off the table; log_p0 plus this is the log error ceiling of a
+    tail closed after term l.  It stays outside exact._walk, which steps
+    those factors, so tests can hold the walk's ceilings against it."""
+    t = engine.table
+    return _log_ceiling((t.mxna - l) * (t.mnxa - l), (t.mxa + l + 1) * (t.mnxna + l + 1))
 
 
 def error_bound_ub2(engine: TermEngine) -> float:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import __version__
-from .batch import _format_log, _input_chunks, _write_chunks, format_float, format_pvalue
+from .batch import INPUT_HEADER, _format_log, _read_chunks, _write_chunks, format_float, format_pvalue
 from .bounds import _require_extra_k, _require_k, report
 from .contingency import _smallest_admissible, build_table, negate_consequent
 from .errors import NegativeDependency
@@ -137,9 +137,10 @@ def _cmd_eval(args) -> int:
     try:
         rep = report(t, k=args.k, include_exact=not args.no_exact)
     except NegativeDependency:
+        negated, flag = (" in the negated table", "a run without --negate") if args.negate else ("", "--negate")
         raise NegativeDependency(
-            f"no positive dependency at mxa={t.mxa}; {_smallest_admissible(t)};"
-            " --negate tests the opposite direction"
+            f"no positive dependency{negated} at mxa={t.mxa}; {_smallest_admissible(t)};"
+            f" {flag} tests the opposite direction"
         ) from None
     lines = [
         ("n", str(t.n)),
@@ -188,7 +189,7 @@ def _cmd_batch(args) -> int:
     for (name_a, a), (name_b, b) in combinations(paths, 2):
         if a and b and _same_file(a, b):
             raise ValueError(f"{name_a} and {name_b} are the same file: {b}")
-    chunks = _input_chunks(args.input)
+    chunks = _read_chunks(args.input, INPUT_HEADER)
     _require_k(args.k)
     with _open_csv(args.out, sys.stdout) as out, _open_csv(args.rejects, None) as rejects:
         written, by_reason = _write_chunks(

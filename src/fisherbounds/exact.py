@@ -81,11 +81,6 @@ class TermEngine(NamedTuple):
     log_p0: float
     j: int
 
-    def _ratio_parts(self, l: int) -> tuple[int, int]:
-        """Numerator and denominator of q_{l+1} as exact integers."""
-        t = self.table
-        return (t.mxna - l) * (t.mnxa - l), (t.mxa + l + 1) * (t.mnxna + l + 1)
-
     def ratios(self):
         """Yield q_1 .. q_J for the reference exact_fisher; written apart
         from _walk's stepped factors, so the walk is tested against it."""
@@ -151,11 +146,6 @@ def exact_fisher(engine: TermEngine) -> PValue:
 def _log_ceiling(a: int, b: int) -> float:
     """ln(q^2 / (1 - q)) for q = a / b, 0 <= a < b exact integers; -inf at q = 0."""
     return 2.0 * math.log(a) - math.log(b) - math.log(b - a) if a else -math.inf
-
-
-def _log_tail_factor(engine: TermEngine, l: int) -> float:
-    """ln(q^2 / (1 - q)) for q = q_{l+1}, from exact integer products."""
-    return _log_ceiling(*engine._ratio_parts(l))
 
 
 # Rounding below the normal range adds at most 2^-1075 per product;

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .batch import OUTPUT_HEADER, _read_rows
+from .batch import OUTPUT_HEADER, _parse_lines, _read_chunks
 
 __all__ = [
     "MEASURES",
@@ -60,14 +60,17 @@ def _log10_key(field: str) -> float:
 def rows_from_batch_csv(path: str) -> list[RankedRow]:
     """Ranked rows read back from a batch output file by batch's reader.
 
-    A row that is not a full batch output row (a truncated file, a stray
+    A file whose header is not OUTPUT_HEADER is an error naming it.  A
+    row that is not a full batch output row (a truncated file, a stray
     quote) is an error naming the row and the file, and so is a value
     that is not a number, which also names its column.  Rankings key on
     the row id, so an id that appears twice is an error too.
     """
-    rows = _read_rows(path)
-    if next(rows) != OUTPUT_HEADER:
-        raise ValueError(f"not a batch output file: {path}")
+    try:
+        chunks = _read_chunks(path, OUTPUT_HEADER)
+    except ValueError:
+        raise ValueError(f"not a batch output file: {path}") from None
+    rows = (row for first, lines in chunks for row in _parse_lines(first, lines))
     ranked = []
     seen = set()
     for row_id, fields in rows:
@@ -129,12 +132,9 @@ def _spearman(order_a: Sequence[str], order_b: Sequence[str]) -> float:
     return statistics.correlation(ranks_a, ranks_b)
 
 
-def rank_agreement(
-    rows: Sequence[RankedRow],
-    top_k: int,
-    measures: Sequence[str] = MEASURES,
-) -> AgreementReport:
-    """Pairwise top-k overlap and rank correlation across measures.
+def rank_agreement(rows: Sequence[RankedRow], top_k: int) -> AgreementReport:
+    """Pairwise top-k overlap and rank correlation across the MEASURES,
+    one pair for each two of them, in MEASURES order.
 
     No rows means nothing to compare, which is an error rather than
     perfect agreement.
@@ -143,10 +143,10 @@ def rank_agreement(
         raise ValueError(f"top_k must be positive, got {top_k}")
     if not rows:
         raise ValueError("no evaluated rows to rank")
-    orders = {m: ranking(rows, m) for m in measures}
+    orders = {m: ranking(rows, m) for m in MEASURES}
     effective = min(top_k, len(rows))
     pairs = []
-    for a, b in combinations(measures, 2):
+    for a, b in combinations(MEASURES, 2):
         top = set(orders[a][:effective]) & set(orders[b][:effective])
         overlap = len(top) / effective
         pairs.append(PairAgreement(a, b, overlap, _spearman(orders[a], orders[b])))

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator
 
 from .batch import format_float, format_pvalue
 from .bounds import ApproxReport, _require_extra_k, report
-from .contingency import ContingencyTable, _smallest_admissible, build_table
+from .contingency import _smallest_admissible, build_table
 from .errors import InvalidK, NegativeDependency
 from .exact import make_term_engine
 
@@ -60,16 +60,12 @@ class SweepSpec:
                 f" n={self.n}, mx={self.mx}, ma={self.ma}; {_smallest_admissible(lo)}"
             ) from None
 
-    def tables(self) -> Iterator[ContingencyTable]:
-        for mxa in range(self.mxa_lo, self.mxa_hi + 1):
-            yield build_table(self.n, self.mx, self.ma, mxa)
-
 
 def _reports(spec: SweepSpec) -> Iterator[ApproxReport]:
     """One report per overlap at the order in ks, made as it is consumed."""
     (k,) = spec.ks
-    for t in spec.tables():
-        yield report(t, k=k, include_exact=spec.include_exact)
+    for mxa in range(spec.mxa_lo, spec.mxa_hi + 1):
+        yield report(build_table(spec.n, spec.mx, spec.ma, mxa), k=k, include_exact=spec.include_exact)
 
 
 def run_sweep(spec: SweepSpec) -> list[ApproxReport]:

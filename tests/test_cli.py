@@ -99,6 +99,14 @@ class TestEval:
         assert "smallest admissible mxa is 26;" in err
         assert "--negate tests the opposite direction" in err
 
+    def test_negated_nonpositive_dependency_hints_at_a_run_without_negate(self, capsys):
+        assert main(["eval", "1000", "200", "250", "60", "--negate"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: no positive dependency in the negated table at mxa=140;"
+            " smallest admissible mxa is 151;"
+            " a run without --negate tests the opposite direction\n"
+        )
+
     def test_hint_for_a_huge_table_stays_in_integers(self, capsys):
         n = 10**400
         assert main(["eval", str(n), str(n // 2), str(n // 2), "1"]) == EXIT_DATA

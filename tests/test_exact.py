@@ -146,14 +146,6 @@ class TestTermEngine:
             )
             assert q == pytest.approx(float(expected), rel=1e-15)
 
-    def test_ratios_generator_equals_indexed_access(self):
-        # ratios() writes q_i apart from _ratio_parts, which only _log_tail_factor uses
-        t = build_table(80, 25, 30, 15)
-        engine = make_term_engine(t)
-        assert list(engine.ratios()) == [
-            a / b for a, b in map(engine._ratio_parts, range(engine.j))
-        ]
-
     def test_ratios_strictly_decreasing(self):
         for t in iter_exhaustive(max_n=25, positive_only=True):
             qs = list(make_term_engine(t).ratios())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from itertools import combinations
 
 import pytest
 
@@ -72,35 +73,39 @@ class TestSpearman:
 
 
 class TestRankAgreement:
+    @staticmethod
+    def _measure_rows(*rows):
+        """Rows keyed by the five MEASURES: (id, p_fisher, ub1, ub2, ubk, chi2_p)."""
+        return [RankedRow(row_id, dict(zip(MEASURES, keys))) for row_id, *keys in rows]
+
     def test_pairs_cover_all_measure_combinations(self):
-        rows = [
-            RankedRow("a", {"x": -1.0, "y": -1.0, "z": -3.0}),
-            RankedRow("b", {"x": -2.0, "y": -2.0, "z": -1.0}),
-            RankedRow("c", {"x": -3.0, "y": -3.0, "z": -2.0}),
-        ]
-        rep = rank_agreement(rows, 2, measures=("x", "y", "z"))
+        rows = self._measure_rows(
+            ("a", -1.0, -1.0, -1.0, -1.0, -3.0),
+            ("b", -2.0, -2.0, -2.0, -2.0, -1.0),
+            ("c", -3.0, -3.0, -3.0, -3.0, -2.0),
+        )
+        rep = rank_agreement(rows, 2)
         assert rep.row_count == 3
         assert rep.top_k == 2
-        assert len(rep.pairs) == 3
-        assert rep.pair("x", "y").top_overlap == 1.0
-        assert rep.pair("x", "y").spearman == 1.0
-        assert rep.pair("z", "x").top_overlap == 0.5
+        assert [(p.measure_a, p.measure_b) for p in rep.pairs] == list(combinations(MEASURES, 2))
+        assert rep.pair("p_fisher", "ub1").top_overlap == 1.0
+        assert rep.pair("p_fisher", "ub1").spearman == 1.0
+        assert rep.pair("chi2_p", "p_fisher").top_overlap == 0.5
 
     def test_pair_lookup_is_order_free(self):
-        rows = [RankedRow("a", {"x": -1.0, "y": -1.0})]
-        rep = rank_agreement(rows, 1, measures=("x", "y"))
-        assert rep.pair("y", "x") is rep.pair("x", "y")
+        rep = rank_agreement(self._measure_rows(("a", -1.0, -1.0, -1.0, -1.0, -1.0)), 1)
+        assert rep.pair("ub1", "p_fisher") is rep.pair("p_fisher", "ub1")
         with pytest.raises(KeyError):
-            rep.pair("x", "w")
+            rep.pair("p_fisher", "w")
 
     def test_top_k_is_capped_by_the_row_count(self):
-        rows = [
-            RankedRow("a", {"x": -1.0, "y": -3.0}),
-            RankedRow("b", {"x": -2.0, "y": -2.0}),
-            RankedRow("c", {"x": -3.0, "y": -1.0}),
-        ]
-        rep = rank_agreement(rows, 100, measures=("x", "y"))
-        assert rep.pair("x", "y").top_overlap == 1.0
+        rows = self._measure_rows(
+            ("a", -1.0, -3.0, -3.0, -3.0, -3.0),
+            ("b", -2.0, -2.0, -2.0, -2.0, -2.0),
+            ("c", -3.0, -1.0, -1.0, -1.0, -1.0),
+        )
+        rep = rank_agreement(rows, 100)
+        assert rep.pair("p_fisher", "ub1").top_overlap == 1.0
 
     def test_nonpositive_top_k_is_an_error(self):
         with pytest.raises(ValueError, match="top_k must be positive"):

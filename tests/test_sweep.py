@@ -49,11 +49,11 @@ class TestSweepSpec:
 
     def test_first_admissible_overlap_is_accepted(self):
         spec = SweepSpec(1000, 200, 250, 51, 51)
-        assert len(list(spec.tables())) == 1
+        assert [r.table.mxa for r in run_sweep(spec)] == [51]
 
     def test_tables_walk_the_overlap_range(self):
         spec = SweepSpec(1000, 200, 250, 55, 60)
-        tables = list(spec.tables())
+        tables = [r.table for r in run_sweep(spec)]
         assert [t.mxa for t in tables] == [55, 56, 57, 58, 59, 60]
         assert all((t.n, t.mx, t.ma) == (1000, 200, 250) for t in tables)
 
