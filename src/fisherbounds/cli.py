@@ -137,11 +137,16 @@ def _cmd_eval(args) -> int:
     try:
         rep = report(t, k=args.k, include_exact=not args.no_exact)
     except NegativeDependency:
-        negated, flag = (" in the negated table", "a run without --negate") if args.negate else ("", "--negate")
-        raise NegativeDependency(
-            f"no positive dependency{negated} at mxa={t.mxa}; {_smallest_admissible(t)};"
-            f" {flag} tests the opposite direction"
-        ) from None
+        if args.negate:
+            # the hint names the mxa the user typed: the negated table's
+            # overlap mx - mxa must reach its own smallest admissible value
+            hint = (
+                f"no positive dependency in the negated table at mxa={args.mxa};"
+                f" largest admissible mxa is {t.mx - (t.mx * t.ma // t.n + 1)}; a run without --negate"
+            )
+        else:
+            hint = f"no positive dependency at mxa={t.mxa}; {_smallest_admissible(t)}; --negate"
+        raise NegativeDependency(f"{hint} tests the opposite direction") from None
     lines = [
         ("n", str(t.n)),
         ("mx", str(t.mx)),

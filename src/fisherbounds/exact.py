@@ -163,8 +163,10 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     the float division a / b of a = x y and b = u v, exact products of x
     = mxna - l, y = mnxa - l, u = mxa + l + 1 and v = mnxna + l + 1, the
     values ratios() divides.  Each term closes a tail if one is due, adds
-    prod in a Kahan step, runs the stop test below with q = a / b, and
-    steps prod and the four factors.
+    prod in a Kahan step, runs the stop test below with q = a / b only
+    where the float prod q is below thresh = ulp(2 (J + 1)), the one
+    place a pass is possible (step 7), and steps prod and the four
+    factors.
 
     A closing at term l adds prod (1 + q + ... + q^(J-l)) in q = q_{l+1}
     to the sum so far, takes p_0 q^2 / (1 - q) as its error ceiling and
@@ -219,6 +221,17 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        from 16/7 to 2.5 and the slack J 2^-1021 absorb.  Subtracting comp
        and comparing with the float ulp(total) / 2 are monotone, so the
        test passing implies 2S - comp < ulp(total) / 2, and 3 applies.
+    7. The test passes only where prod q < thresh, so running it only
+       there changes no result.  If prod == 0.0, or remaining == 0 (one
+       factor of a is then 0, so q = 0), prod q is 0.0.  Otherwise
+       remaining >= 1 and the float 1 - q is at most 1, so g >= q.  By 1,
+       |comp| <= ulp(total) / 2, so a pass makes the float 2.5 prod g
+       smaller than ulp(total).  Its two roundings lose less than the
+       factor 2.5 / 2, so prod q < ulp(total) / 2, or prod g lies below
+       the normal range.  By 1 and 4, total is within ulp(total) / 2 of
+       a sum of at most J + 1 products, each at most 1, so total < 2 (J +
+       1) and ulp(total) <= thresh.  Without the exact sum, or once it has
+       stopped, thresh = -1.0 and no term runs the test.
     """
     table, j, log_p0 = engine.table, engine.j, engine.log_p0
     log, log1p, expm1, ulp = math.log, math.log1p, math.expm1, math.ulp
@@ -226,7 +239,8 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     slack = j * _SUBNORMAL_SLACK
     total, comp, prod = 0.0, 0.0, 1.0
     p_fisher = None
-    ends = []  # (upper end, ln error ceiling) of each closing: ub2's first, ub_k's last
+    # the stop test can pass only where prod q < thresh (step 7); -1.0 when it is off
+    thresh = ulp(2.0 * (j + 1)) if exact else -1.0
     ubk_left = j + 1 - k if k <= j else 0  # remaining at ub_k's closing
     due = j  # remaining at the next closing, ub2's first; -1 once none is left
     for remaining in range(j, -1, -1):
@@ -237,27 +251,27 @@ def _walk(engine: TermEngine, k: int, exact: bool):
                 raise RuntimeError(f"ratio q_{j + 1 - remaining} >= 1 on {table}")
             d = (b - a) / b
             geometric = 1.0 if d == 1.0 else -expm1((remaining + 1) * log1p(-d)) / d
-            closed = PValue(log_p0 + log(total + (prod * geometric - comp)), j + 1 - remaining)
-            ends.append((closed, log_p0 + _log_ceiling(a, b)))
+            ubk = PValue(log_p0 + log(total + (prod * geometric - comp)), j + 1 - remaining)
+            ubk_log_ceiling = log_p0 + _log_ceiling(a, b)
+            if remaining == j:
+                ub2, ub2_log_ceiling = ubk, ubk_log_ceiling
             due = ubk_left if remaining > ubk_left else -1
-            if due < 0 and not exact:
+            if due < 0 and thresh < 0.0:
                 break
         w = prod - comp
         s = total + w
         comp = (s - total) - w
-        if exact and s != total:
-            half_ulp = 0.5 * ulp(s)  # ulp(total) / 2; term 0 sets it to 2^-53
         total = s
         q = (x * y) / (u * v)
-        if exact:
+        if prod * q < thresh:
             g = q / (1.0 - q)
             if g > remaining:
                 g = remaining
-            if prod == 0.0 or 2.5 * prod * g + slack - comp < half_ulp:
+            if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
                 p_fisher = PValue(log_p0 + log(total), j + 1 - remaining)
                 if remaining <= ubk_left:
                     break
-                exact = False
+                thresh = -1.0
         prod *= q
         x -= 1
         y -= 1
@@ -265,7 +279,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         v += 1
     else:  # only the exact sum, its stop test failing at term J, gets here
         p_fisher = PValue(log_p0 + log(total), j + 1)
-    return ends[0] + ends[-1] + (p_fisher,)
+    return ub2, ub2_log_ceiling, ubk, ubk_log_ceiling, p_fisher
 
 
 def exact_fisher_certified(engine: TermEngine) -> PValue:

@@ -102,10 +102,16 @@ class TestEval:
     def test_negated_nonpositive_dependency_hints_at_a_run_without_negate(self, capsys):
         assert main(["eval", "1000", "200", "250", "60", "--negate"]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            "error: no positive dependency in the negated table at mxa=140;"
-            " smallest admissible mxa is 151;"
+            "error: no positive dependency in the negated table at mxa=60;"
+            " largest admissible mxa is 49;"
             " a run without --negate tests the opposite direction\n"
         )
+
+    def test_negated_hint_is_the_largest_mxa_that_runs(self, capsys):
+        assert main(["eval", "1000", "200", "250", "49", "--negate"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", "1000", "200", "250", "50", "--negate"]) == EXIT_DATA
+        assert "at mxa=50; largest admissible mxa is 49;" in capsys.readouterr().err
 
     def test_hint_for_a_huge_table_stays_in_integers(self, capsys):
         n = 10**400
@@ -113,6 +119,8 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: no positive dependency at mxa=1;")
         assert f"smallest admissible mxa is {n // 4 + 1};" in err
+        assert main(["eval", str(n), str(n // 2), str(n // 2), str(n // 4), "--negate"]) == EXIT_DATA
+        assert f"largest admissible mxa is {n // 4 - 1};" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["1", "2"])
     def test_k_below_three_exits_two(self, k, capsys):

@@ -190,6 +190,66 @@ def _near_independent_tables(count: int, seed: int) -> list:
     return tables
 
 
+def _stop_test_at_every_term(engine) -> PValue:
+    """exact_fisher_certified's sum with its stop test run after every term.
+
+    The walk runs the test only where prod q is small enough for it to
+    pass; this copy runs it everywhere, on ratios() in place of the
+    walk's stepped factors, so it shows that skipping it elsewhere never
+    moves the stop.
+    """
+    j = engine.j
+    slack = j * 2.0**-1021
+    total, comp, prod = 0.0, 0.0, 1.0
+    ratios = engine.ratios()
+    for remaining in range(j, -1, -1):
+        w = prod - comp
+        s = total + w
+        comp = (s - total) - w
+        total = s
+        q = next(ratios, 0.0)  # q_{J+1} = 0
+        g = min(q / (1.0 - q), remaining)
+        if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * math.ulp(total):
+            return PValue(engine.log_p0 + math.log(total), j + 1 - remaining)
+        prod *= q
+    return PValue(engine.log_p0 + math.log(total), j + 1)
+
+
+def _near_independence_at(n: int, count: int, seed: int) -> list:
+    """Lift just above 1 at one n: the largest J and the loosest filter."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        mx = rng.randint(n // 10, n // 2)
+        ma = rng.randint(n // 10, n // 2)
+        mxa = mx * ma // n + rng.randint(1, 3)
+        tables.append(build_table(n, mx, ma, mxa))
+    return tables
+
+
+def _strong_near_the_cap(count: int, seed: int) -> list:
+    """n within 5000 of 2^50 and far from independence: a few dozen terms."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        n = 2**50 - rng.randint(0, 5000)
+        mx = rng.randint(n // 10, n // 2)
+        ma = rng.randint(n // 10, n // 2)
+        mxa = min(mx, ma, math.ceil(mx * ma / n * rng.uniform(1.5, 3.0)))
+        tables.append(build_table(n, mx, ma, mxa))
+    return tables
+
+
+def _j_at_most_two() -> list:
+    return [t for t in iter_exhaustive(positive_only=True) if t.j <= 2]
+
+
+def _underflow_table() -> list:
+    """A table whose certified sum ends only when its product reaches 0.0."""
+    mxa, mnxna, m = 2**31 - 1, 2**32 - 1, 32
+    return [build_table(mxa + mnxna + 2 * m, mxa + m, mxa + m, mxa)]
+
+
 class TestExactFisherCertified:
     @staticmethod
     def _terms_against_the_full_sum(tables) -> tuple[int, int]:
@@ -230,14 +290,29 @@ class TestExactFisherCertified:
         # q_1 = 2^-53 exactly, so 1 + q_1 is a tie that rounds back to 1 and
         # leaves -comp at exactly half an ulp: no tail bound can pass the
         # stop test, and the walk ends only when the product reaches 0.0
-        mxa, mnxna, m = 2**31 - 1, 2**32 - 1, 32
-        t = build_table(mxa + mnxna + 2 * m, mxa + m, mxa + m, mxa)
+        (t,) = _underflow_table()
         engine = make_term_engine(t)
         assert next(engine.ratios()) == 2.0**-53
         pv = exact_fisher_certified(engine)
         assert pv.raw_log == exact_fisher(engine).raw_log
         assert pv.terms_evaluated == 21
         assert engine.j + 1 == 33
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            pytest.param(lambda: _near_independence_at(10**4, 50, CORPUS_SEED), id="near_independence_1e4"),
+            pytest.param(lambda: _near_independence_at(10**6, 20, CORPUS_SEED), id="near_independence_1e6"),
+            pytest.param(lambda: _near_independence_at(10**8, 5, CORPUS_SEED), id="near_independence_1e8"),
+            pytest.param(lambda: _strong_near_the_cap(30, CORPUS_SEED), id="strong_near_2_to_the_50"),
+            pytest.param(_j_at_most_two, id="j_at_most_2"),
+            pytest.param(_underflow_table, id="underflow"),
+        ],
+    )
+    def test_stops_where_the_stop_test_at_every_term_stops(self, tables):
+        for t in tables():
+            engine = make_term_engine(t)
+            assert exact_fisher_certified(engine) == _stop_test_at_every_term(engine), t
 
     def test_refuses_nonpositive_dependency(self):
         with pytest.raises(NegativeDependency):
