@@ -219,11 +219,10 @@ def _near_independence_at(n: int, count: int, seed: int) -> list:
     """Lift just above 1 at one n: the largest J and the loosest filter."""
     rng = random.Random(seed)
     tables = []
-    while len(tables) < count:
+    for _ in range(count):
         mx = rng.randint(n // 10, n // 2)
         ma = rng.randint(n // 10, n // 2)
-        mxa = mx * ma // n + rng.randint(1, 3)
-        tables.append(build_table(n, mx, ma, mxa))
+        tables.append(build_table(n, mx, ma, mx * ma // n + rng.randint(1, 3)))
     return tables
 
 
@@ -231,7 +230,7 @@ def _strong_near_the_cap(count: int, seed: int) -> list:
     """n within 5000 of 2^50 and far from independence: a few dozen terms."""
     rng = random.Random(seed)
     tables = []
-    while len(tables) < count:
+    for _ in range(count):
         n = 2**50 - rng.randint(0, 5000)
         mx = rng.randint(n // 10, n // 2)
         ma = rng.randint(n // 10, n // 2)
