@@ -43,13 +43,9 @@ def benchmark_shape(n: int) -> ContingencyTable:
     return build_table(n, mx, mx, (6 * mx) // 10)
 
 
-def large_scale_terms(n: int = 1_000_000) -> int:
-    """Exact-path term count for the benchmark shape at a given size.
-
-    Pure arithmetic; nothing is evaluated.  At the default size the
-    exact tail would need 200001 terms while every bound stays O(1).
-    """
-    return benchmark_shape(n).j + 1
+def large_scale_terms() -> int:
+    """Exact-path terms of the benchmark shape at n = 1000000, from J alone."""
+    return benchmark_shape(1_000_000).j + 1
 
 
 @dataclass(frozen=True, slots=True)

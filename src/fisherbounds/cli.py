@@ -137,15 +137,14 @@ def _cmd_eval(args) -> int:
     try:
         rep = report(t, k=args.k, include_exact=not args.no_exact)
     except NegativeDependency:
+        lo = _smallest_admissible(t)
         if args.negate:
             # the hint names the mxa the user typed: the negated table's
             # overlap mx - mxa must reach its own smallest admissible value
-            hint = (
-                f"no positive dependency in the negated table at mxa={args.mxa};"
-                f" largest admissible mxa is {t.mx - (t.mx * t.ma // t.n + 1)}; a run without --negate"
-            )
+            hint = f"no positive dependency in the negated table at mxa={args.mxa};"
+            hint += f" largest admissible mxa is {t.mx - lo}; a run without --negate"
         else:
-            hint = f"no positive dependency at mxa={t.mxa}; {_smallest_admissible(t)}; --negate"
+            hint = f"no positive dependency at mxa={t.mxa}; smallest admissible mxa is {lo}; --negate"
         raise NegativeDependency(f"{hint} tests the opposite direction") from None
     lines = [
         ("n", str(t.n)),
@@ -160,6 +159,7 @@ def _cmd_eval(args) -> int:
     ]
     if rep.p_fisher is not None:
         lines.append(("p_fisher", format_pvalue(rep.p_fisher)))
+        lines.append(("terms_summed", str(rep.p_fisher.terms_evaluated)))
     lines += [
         ("ub1", format_pvalue(rep.ub1)),
         ("ub2", format_pvalue(rep.ub2)),

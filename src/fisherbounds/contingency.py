@@ -149,9 +149,9 @@ def _measures(t: ContingencyTable) -> tuple[float, float, float]:
     return (n * mxa) / (t.mx * t.ma), t.delta_counts / (n * n), odds
 
 
-def _smallest_admissible(t: ContingencyTable) -> str:
-    """Hint for a table without positive dependency: n*mxa > mx*ma, in integers."""
-    return f"smallest admissible mxa is {t.mx * t.ma // t.n + 1}"
+def _smallest_admissible(t: ContingencyTable) -> int:
+    """The smallest mxa with positive dependency at t's margins: n*mxa > mx*ma, in integers."""
+    return t.mx * t.ma // t.n + 1
 
 
 def negate_consequent(t: ContingencyTable) -> ContingencyTable:

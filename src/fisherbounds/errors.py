@@ -23,7 +23,7 @@ class OutOfRange(ValueError):
 
 
 class CapacityExceeded(ValueError):
-    """A request went past a configured size budget."""
+    """A request went past a fixed size budget, exact.ORACLE_CAP."""
 
 
 class NegativeDependency(ValueError):

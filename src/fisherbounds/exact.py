@@ -101,14 +101,14 @@ def make_term_engine(t: ContingencyTable) -> TermEngine:
     """Build the engine for a table from math.lgamma log-factorials.
 
     The one place the package refuses a valid table: NegativeDependency
-    for one without positive dependency (negate the consequent to test
-    the opposite direction), then OutOfRange for n above 2^50, both
-    before any log-factorial.  Each ln C(m, k) is ln m! - (ln k! +
-    ln (m - k)!), the subtrahends added before subtracting, which makes
-    it exactly symmetric in k and m - k and exactly 0.0 at the edges: log_p0 is ln C(mx, mxa) + ln C(n - mx,
-    mnxna) - ln C(n, ma), so the edge table (n, ma, ma, ma) has log_p0
-    = -ln C(n, ma) exactly.  Written out straight-line because engine
-    builds dominate a screen of many small tables.
+    for one without positive dependency (negate the consequent to test the
+    opposite direction), then OutOfRange for n above 2^50, both before any
+    log-factorial.  Each ln C(m, k) is ln m! - (ln k! + ln (m - k)!), the
+    subtrahends added before subtracting, which makes it exactly symmetric
+    in k and m - k and exactly 0.0 at the edges.  log_p0 is ln C(mx, mxa)
+    + ln C(n - mx, mnxna) - ln C(n, ma), so the edge table (n, ma, ma, ma)
+    has log_p0 = -ln C(n, ma) exactly.  Written out straight-line because
+    engine builds dominate a screen of many small tables.
     """
     if t.delta_counts <= 0:
         raise NegativeDependency(f"leverage numerator {t.delta_counts} is not positive")
@@ -179,12 +179,11 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     stops after term l when the running product prod has underflowed to
     0.0, or when the float test
 
-        2.5 prod min(q / (1 - q), L) + J 2^-1021 - comp < ulp(total) / 2
+        2.5 prod g + J 2^-1021 - comp < ulp(total) / 2,  g = q / (1 - q)
 
-    holds, with L = remaining the number of unsummed terms.  raw_log
-    therefore equals exact_fisher's bit for bit, and terms_evaluated
-    counts the terms actually summed: a few dozen on strong tables,
-    O(sqrt n) near independence, never more than J + 1.
+    holds.  raw_log therefore equals exact_fisher's bit for bit, and
+    terms_evaluated counts the terms actually summed: a few dozen on
+    strong tables, O(sqrt n) near independence, never more than J + 1.
 
     Why the unsummed terms cannot change total (u = 2^-53, rounding to
     nearest):
@@ -205,9 +204,8 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        therefore never moves if 2S - comp < ulp(total) / 2.
     4. The exact ratios fall strictly and stay below 1, and rounding is
        monotone, so the computed ratios lie in (0, 1] and do not grow,
-       and neither do the computed products.  Hence S <= L prod with no
-       rounding slack, and once prod == 0.0 every c is 0.0 and r never
-       leaves -comp.
+       and neither do the computed products.  Once prod == 0.0 every c
+       is 0.0 and r never leaves -comp.
     5. Every computed q is at most 1 - 8u: every exact ratio is at most
        q_1, 1 - q_1 > 1/n, make_term_engine admits only n <= 2^50 = 1/(8u),
        and the integer division rounds correctly to the double grid, on
@@ -215,16 +213,15 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        one before, plus 2^-1075 below the normal range, and
        1 - q (1 + u) >= (7/8)(1 - q).  Summing the geometric series gives
        S <= (8/7)(1 + u) prod q / (1 - q) + L 2^-1022 / 7.
-    6. By 4 and 5, 2S is below the first two terms of the test.  Their
-       float value still is: each of its few roundings loses at most a
-       factor 1 - u, or 2^-1075 below the normal range, which the step
-       from 16/7 to 2.5 and the slack J 2^-1021 absorb.  Subtracting comp
+    6. By 5, 2S is below the first two terms of the test.  Their float
+       value still is: each of its few roundings loses at most a factor
+       1 - u, or 2^-1075 below the normal range, which the step from
+       16/7 to 2.5 and the slack J 2^-1021 absorb.  Subtracting comp
        and comparing with the float ulp(total) / 2 are monotone, so the
        test passing implies 2S - comp < ulp(total) / 2, and 3 applies.
     7. The test passes only where prod q < thresh, so running it only
-       there changes no result.  If prod == 0.0, or remaining == 0 (one
-       factor of a is then 0, so q = 0), prod q is 0.0.  Otherwise
-       remaining >= 1 and the float 1 - q is at most 1, so g >= q.  By 1,
+       there changes no result.  If prod == 0.0, prod q is 0.0.
+       Otherwise g >= q because the float 1 - q is at most 1.  By 1,
        |comp| <= ulp(total) / 2, so a pass makes the float 2.5 prod g
        smaller than ulp(total).  Its two roundings lose less than the
        factor 2.5 / 2, so prod q < ulp(total) / 2, or prod g lies below
@@ -232,6 +229,14 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        a sum of at most J + 1 products, each at most 1, so total < 2 (J +
        1) and ulp(total) <= thresh.  Without the exact sum, or once it has
        stopped, thresh = -1.0 and no term runs the test.
+    8. Where the test runs, g <= L = remaining, so capping g at L, as
+       S <= L prod allows, would move no stop.  If q < 1/2, g <= 1 <= L,
+       or L = 0 and g = q = 0.  Else 1 - q is exact and g > L needs
+       q > L / (L + 1) >= 1/2, so not at term 0: there prod q = q > 1/4 >=
+       ulp(n + 2) >= thresh.  At l >= 1, with A = mxa, D = mnxna, a = L s,
+       b <= (A + D + l + 1)^2 <= n^2 and (L + 1) s < J (s + l) = mxna mnxa
+       < A D = b - (l + 1)(A + D + l + 1), so a / b lies over (l + 1) / (2 n)
+       >= 2^-50 below L / (L + 1), and q, within 2^-54 of a / b, below it.
     """
     table, j, log_p0 = engine.table, engine.j, engine.log_p0
     log, log1p, expm1, ulp = math.log, math.log1p, math.expm1, math.ulp
@@ -265,8 +270,6 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         q = (x * y) / (u * v)
         if prod * q < thresh:
             g = q / (1.0 - q)
-            if g > remaining:
-                g = remaining
             if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
                 p_fisher = PValue(log_p0 + log(total), j + 1 - remaining)
                 if remaining <= ubk_left:
@@ -294,20 +297,20 @@ def exact_fisher_certified(engine: TermEngine) -> PValue:
 ORACLE_CAP = 20_000
 
 
-def exact_fisher_oracle(t: ContingencyTable, cap: int = ORACLE_CAP) -> Fraction:
-    """p_F as an exact rational; no floating point anywhere.
+def exact_fisher_oracle(t: ContingencyTable):
+    """p_F as an exact Fraction; no floating point anywhere.
 
     Each side's binomial coefficient starts from math.comb at the
     observed cell and advances along k with C(m, k+1) = C(m, k) (m - k)
     / (k + 1) in exact integer steps (the division is always exact).
     That recurrence runs over different quantities than the floating
     q_i path, so agreement between the two is a genuine cross-check.
-    Cost grows quickly with n; the cap keeps requests honest.
+    Cost grows quickly with n, so it refuses n above ORACLE_CAP.
     """
-    from fractions import Fraction  # loaded here: only the oracle uses it
+    from fractions import Fraction  # only the oracle uses it: loaded here, so not annotated
 
-    if t.n > cap:
-        raise CapacityExceeded(f"n={t.n} above oracle cap {cap}")
+    if t.n > ORACLE_CAP:
+        raise CapacityExceeded(f"n={t.n} above oracle cap {ORACLE_CAP}")
     mnx = t.n - t.mx
     cx = math.comb(t.mx, t.mxa)
     cnx = math.comb(mnx, t.mnxna)

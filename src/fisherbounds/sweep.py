@@ -56,8 +56,8 @@ class SweepSpec:
             make_term_engine(lo)
         except NegativeDependency:
             raise NegativeDependency(
-                f"mxa={self.mxa_lo} gives no positive dependency for"
-                f" n={self.n}, mx={self.mx}, ma={self.ma}; {_smallest_admissible(lo)}"
+                f"mxa={self.mxa_lo} gives no positive dependency for n={self.n}, mx={self.mx},"
+                f" ma={self.ma}; smallest admissible mxa is {_smallest_admissible(lo)}"
             ) from None
 
 

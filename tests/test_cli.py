@@ -29,8 +29,8 @@ def _lines_as_dict(stdout: str) -> dict[str, str]:
 
 EVAL_KEYS = (
     "n", "mx", "ma", "mxa", "j", "terms", "lift", "leverage", "odds",
-    "p_fisher", "ub1", "ub2", "ub3", "err_bound_ub2", "err_bound_ub3",
-    "chi2_p", "chi2_stat", "min_expected", "rule_of_thumb_ok",
+    "p_fisher", "terms_summed", "ub1", "ub2", "ub3", "err_bound_ub2",
+    "err_bound_ub3", "chi2_p", "chi2_stat", "min_expected", "rule_of_thumb_ok",
     "guarantee_ub1", "guarantee_ub2", "clamped",
 )
 
@@ -44,6 +44,7 @@ class TestEval:
         assert out["terms"] == "141"
         assert out["lift"] == "1.2"
         assert out["p_fisher"] == "0.0428803"
+        assert out["terms_summed"] == "42"
         assert out["rule_of_thumb_ok"] == "true"
         assert out["guarantee_ub1"] == "false"
         assert out["clamped"] == "false"
@@ -59,7 +60,14 @@ class TestEval:
         assert main(["eval", "1000", "200", "250", "60", "--no-exact"]) == EXIT_OK
         out = _lines_as_dict(capsys.readouterr().out)
         assert "p_fisher" not in out
+        assert "terms_summed" not in out
         assert "ub1" in out
+
+    def test_terms_summed_counts_the_certified_sum_not_j_plus_one(self, capsys):
+        assert main(["eval", "100000", "50000", "50000", "30000"]) == EXIT_OK
+        out = _lines_as_dict(capsys.readouterr().out)
+        assert out["terms"] == "20001"
+        assert out["terms_summed"] == "47"
 
     def test_negate_echoes_the_evaluated_table(self, capsys):
         assert main(["eval", "1000", "200", "250", "40", "--negate"]) == EXIT_OK

@@ -20,6 +20,7 @@ from fisherbounds import (
     make_term_engine,
 )
 from fisherbounds.bench import benchmark_shape
+from fisherbounds.exact import ORACLE_CAP
 
 from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
 
@@ -349,4 +350,4 @@ class TestOracle:
         t = build_table(25000, 1000, 1000, 200)
         with pytest.raises(CapacityExceeded):
             exact_fisher_oracle(t)
-        assert exact_fisher_oracle(t, cap=25000) > 0
+        assert exact_fisher_oracle(build_table(ORACLE_CAP, 1000, 1000, 200)) > 0

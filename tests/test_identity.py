@@ -117,12 +117,12 @@ def test_report_bits_are_pinned(k):
 
 # sha256 of eval's stdout
 EVAL_DIGESTS = {
-    "readme": "a49318d57f75da9ec9b34a7057cfc17293b2b150eaaba28b8f01bca3c151e4d9",
-    "negate": "cbd8f5b9e5f5d7de7e1393e5dc3dcc25057d60185d5154ea1fcb2a00f2774ade",
-    "k7": "0d792f44f88e5e83a049343a0b0ff483c9c88bdddc5b0237121425baabbae3d7",
+    "readme": "f44ae1a9bc305f0ffa9fa814ea2ddb5b88b4f2d094163944f4a91dde430c7708",
+    "negate": "509b11ae596108071eeab29f485e56e452c841572f2c132472547d16eed3a108",
+    "k7": "49a7f8613276f35d60479ef659b241dc23423256a762609ba8348f611ab04320",
     "no-exact": "5c25ca72263fae6c325762ed353cef28d193a2fe3c0bf0336629a49594288cc0",
-    "clamped": "132429c2f44d269c3837837c3ffb438914bb922db14a71aee9b3399ffc694f7e",
-    "deep-tail": "507039aa8b51406a91430012f0cb17222695627c8794275275de206e958636cc",
+    "clamped": "e47487222856bebb4dd8d3d0a6bfd7c4d77a03aa2ace27fba6573fcaf9ec3d3d",
+    "deep-tail": "48d230eb2b93b8349bfd1f02b1406e42564e5db4fae99db73274353b60587698",
 }
 EVAL_ARGS = {
     "readme": ["1000", "200", "250", "60"],

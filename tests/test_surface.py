@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -42,6 +43,22 @@ def test_every_exported_name_resolves():
     assert isinstance(fisherbounds.__version__, str)
 
 
+def test_every_exported_callable_and_public_method_resolves_its_hints():
+    # an annotation naming what its module imports only inside a function
+    # makes typing.get_type_hints raise NameError
+    for module in _exporting_modules():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            typing.get_type_hints(obj)
+            if isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    member = member.fget if isinstance(member, property) else member
+                    if not attr.startswith("_") and callable(member):
+                        typing.get_type_hints(member)
+
+
 def test_import_loads_no_thread_pool_or_logging():
     probe = (
         "import sys, fisherbounds;"
@@ -69,11 +86,12 @@ HEAVY = {
 
 
 def _modules_after(code: str) -> set[str]:
-    """The modules a fresh interpreter holds once code has run."""
+    """The modules a fresh interpreter holds once code has run, with the
+    words of any DeprecationWarning it printed."""
     probe = f"{code}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)"
     src = os.path.dirname(os.path.dirname(fisherbounds.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-W", "always::DeprecationWarning", "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -160,3 +178,6 @@ def test_batch_command_loads_no_record_machinery(tmp_path, rows, pooled):
     assert ("multiprocessing" in loaded) == pooled
     assert sorted(RECORD_MACHINERY & loaded) == []
     assert len((tmp_path / "o.csv").read_text(encoding="utf-8").splitlines()) == rows + 1
+    # from Python 3.12, os.fork() warns "This process ... is multi-threaded"
+    # when the parent has a live thread; the pool must fork none
+    assert [word for word in loaded if word.startswith("multi-threaded")] == []
