@@ -160,14 +160,13 @@ def _evaluate(
         return Reject(row_id, REASON_BAD_ROW, "expected four integer counts")
     try:
         t = ContingencyTable(n, mx, ma, mxa)
+        if negate:
+            t = negate_consequent(t)
+        return BatchRecord(row_id, report(t, k=k, include_exact=include_exact))
     except DegenerateMargin as exc:
         return Reject(row_id, REASON_DEGENERATE, str(exc))
     except MarginViolation as exc:
         return Reject(row_id, REASON_MARGIN, str(exc))
-    if negate:
-        t = negate_consequent(t)
-    try:
-        return BatchRecord(row_id, report(t, k=k, include_exact=include_exact))
     except NegativeDependency as exc:
         return Reject(row_id, REASON_NONPOSITIVE, str(exc))
     except OutOfRange as exc:

@@ -272,15 +272,9 @@ def _cmd_rank_agreement(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import (
-        DEFAULT_REPETITIONS,
-        DEFAULT_SIZES,
-        MEASURE_NAMES,
-        bounds_flat_within,
-        exact_grows,
-        large_scale_terms,
-        run_bench,
-    )
+    from .bench import DEFAULT_REPETITIONS, DEFAULT_SIZES, MEASURE_NAMES, benchmark_shape, run_bench
+    from .bench import bounds_flat_within, exact_grows, large_scale_terms
+    from .exact import make_term_engine
 
     sizes = DEFAULT_SIZES
     if args.sizes is not None:
@@ -288,6 +282,11 @@ def _cmd_bench(args) -> int:
             sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
         except ValueError:
             raise ValueError(f"--sizes expects comma-separated integers, got {args.sizes!r}")
+    for n in sizes:  # each refused before the first timing
+        try:
+            make_term_engine(benchmark_shape(n))
+        except ValueError as exc:
+            raise ValueError(f"--sizes: no benchmark table at n={n}: {exc}") from None
     reps = DEFAULT_REPETITIONS if args.reps is None else args.reps
     results = run_bench(sizes, reps)
     if not results:

@@ -40,17 +40,21 @@ class ContingencyTable:
     mxa*mnxna - mxna*mnxa.  Equality, hashing and repr use the four
     counts alone.
 
-    Margins must be non-degenerate (0 < mx < n, 0 < ma < n) and mxa must
-    lie inside the Frechet bounds max(0, mx + ma - n) <= mxa <= min(mx, ma).
-    Construction validates all of this; instances are immutable and safe
-    to share across threads, and pickle and copy rebuild them through
-    the constructor.
+    The counts must be ints and not bools, margins must be non-degenerate
+    (0 < mx < n, 0 < ma < n) and mxa must lie inside the Frechet bounds
+    max(0, mx + ma - n) <= mxa <= min(mx, ma).  Construction validates all
+    of this; build_table is this class, and pickle and copy rebuild through
+    it.  Instances are immutable and safe to share across threads.
     """
 
     __slots__ = ("n", "mx", "ma", "mxa", "mxna", "mnxa", "mnxna", "delta_counts", "j")
     __match_args__ = ("n", "mx", "ma", "mxa")
 
     def __init__(self, n: int, mx: int, ma: int, mxa: int) -> None:
+        if not (type(n) is int and type(mx) is int and type(ma) is int and type(mxa) is int):
+            for name, value in (("n", n), ("mx", mx), ("ma", ma), ("mxa", mxa)):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not (0 < mx < n and 0 < ma < n):
             raise DegenerateMargin(
                 f"margins must satisfy 0 < mx < n and 0 < ma < n, "
@@ -99,13 +103,15 @@ class ContingencyTable:
 
     @property
     def positive_dependency(self) -> bool:
-        """Exact integer sign test of the leverage; every bound and the
-        exact tail need it, and make_term_engine refuses a table without it."""
+        """delta_counts > 0, the exact integer sign test of the leverage; kept
+        for callers, since make_term_engine makes the same test itself."""
         return self.delta_counts > 0
 
 
 # the slots' own stores, the one way into a table past its refusing __setattr__
 _SETTERS = tuple(getattr(ContingencyTable, name).__set__ for name in ContingencyTable.__slots__)
+# the constructor validates, so the builder is the class itself
+build_table = ContingencyTable
 
 
 class DerivedStats(NamedTuple):
@@ -121,15 +127,6 @@ class DerivedStats(NamedTuple):
     lift: float
     leverage: float
     odds_ratio: float
-
-
-def build_table(n: int, mx: int, ma: int, mxa: int) -> ContingencyTable:
-    """Validate four counts and return the table they define."""
-    if not (type(n) is int and type(mx) is int and type(ma) is int and type(mxa) is int):
-        for name, value in (("n", n), ("mx", mx), ("ma", ma), ("mxa", mxa)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    return ContingencyTable(n, mx, ma, mxa)
 
 
 def derive_stats(t: ContingencyTable) -> DerivedStats:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import fisherbounds
-from fisherbounds import OUTPUT_HEADER, REJECT_HEADER, __version__, batch
+from fisherbounds import OUTPUT_HEADER, REJECT_HEADER, __version__, batch, bench
 from fisherbounds.cli import EXIT_DATA, EXIT_OK, EXIT_REPRODUCTION, EXIT_USAGE, main
 
 
@@ -621,6 +621,26 @@ class TestBench:
     def test_malformed_sizes_exit_two(self, capsys):
         assert main(["bench", "--sizes", "a,b"]) == EXIT_DATA
         assert "comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes,n,reason",
+        [
+            ("2000,16", 16, "leverage numerator 0 is not positive"),
+            ("1", 1, "margins must satisfy"),
+            ("2000,2000000000000000", 2000000000000000, "counts too large"),
+        ],
+        ids=["no-dependency", "degenerate", "out-of-range"],
+    )
+    def test_a_size_without_a_benchmark_table_is_named_before_any_timing(
+        self, capsys, monkeypatch, sizes, n, reason
+    ):
+        timed = []
+        monkeypatch.setattr(bench, "_calibrated", timed.append)
+        assert main(["bench", "--sizes", sizes, "--reps", "1"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --sizes: no benchmark table at n={n}: {reason}")
+        assert timed == []
 
 
 class TestTopLevel:

@@ -50,11 +50,19 @@ class TestBuildTable:
             (10.0, 4, 7, 2),
             (10, True, 7, 2),
             (10, 4, "7", 2),
+            (1000, 200, 250, 60.5),
         ],
     )
     def test_rejects_non_integer_counts(self, args):
-        with pytest.raises(TypeError):
-            build_table(*args)
+        # the constructor is the one gate, so a direct call refuses what
+        # build_table refuses, with the message naming the field
+        name = ("n", "mx", "ma", "mxa")[[type(a) is int for a in args].index(False)]
+        for make in (build_table, ContingencyTable):
+            with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+                make(*args)
+
+    def test_build_table_is_the_class(self):
+        assert build_table is ContingencyTable
 
     def test_table_is_immutable(self):
         t = build_table(10, 4, 7, 2)
