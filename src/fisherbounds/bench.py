@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import time
 import timeit
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bounds import ub1, ub2, ub_k
 from .contingency import ContingencyTable, build_table
@@ -48,12 +47,15 @@ def large_scale_terms() -> int:
     return benchmark_shape(1_000_000).j + 1
 
 
-@dataclass(frozen=True, slots=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     n: int
     j: int
-    terms: int
     seconds_per_call: dict[str, float]
+
+    @property
+    def terms(self) -> int:
+        """J + 1, the terms of the full exact sum."""
+        return self.j + 1
 
 
 def _measures(engine) -> tuple[Callable[[], object], ...]:
@@ -85,20 +87,26 @@ def run_bench(
     Every (size, measure) pair is calibrated first.  The samples then go
     round-robin over all pairs, repetitions rounds of one sample each, so
     a slow phase of the machine lands on every pair alike instead of on
-    one size, and each pair keeps its fastest sample.
+    one size, and each pair keeps its fastest sample.  A size without a
+    benchmark table is a ValueError naming it, raised before any timing.
     """
+    engines = []
+    for n in sizes:
+        try:
+            engines.append(make_term_engine(benchmark_shape(n)))
+        except ValueError as exc:
+            raise ValueError(f"no benchmark table at n={n}: {exc}") from None
     if repetitions <= 0:
         return []
-    tables = [benchmark_shape(n) for n in sizes]
-    calibrated = [[_calibrated(fn) for fn in _measures(make_term_engine(t))] for t in tables]
-    samples = [[[] for _ in MEASURE_NAMES] for _ in tables]
+    calibrated = [[_calibrated(fn) for fn in _measures(e)] for e in engines]
+    samples = [[[] for _ in MEASURE_NAMES] for _ in engines]
     for _ in range(repetitions):
         for row, lists in zip(calibrated, samples):
             for (timer, number), taken in zip(row, lists):
                 taken.append(timer.timeit(number) / number)
     return [
-        BenchResult(t.n, t.j, t.j + 1, {name: min(s) for name, s in zip(MEASURE_NAMES, lists)})
-        for t, lists in zip(tables, samples)
+        BenchResult(e.table.n, e.j, {name: min(s) for name, s in zip(MEASURE_NAMES, lists)})
+        for e, lists in zip(engines, samples)
     ]
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .batch import OUTPUT_HEADER, _parse_lines, _read_chunks
 
@@ -30,8 +29,7 @@ __all__ = [
 MEASURES = ("p_fisher", "ub1", "ub2", "ubk", "chi2_p")
 
 
-@dataclass(frozen=True, slots=True)
-class RankedRow:
+class RankedRow(NamedTuple):
     """A row id plus one monotone ordering key per measure."""
 
     row_id: str
@@ -101,16 +99,14 @@ def ranking(rows: Sequence[RankedRow], measure: str) -> list[str]:
     return [row_id for _, row_id in keyed]
 
 
-@dataclass(frozen=True, slots=True)
-class PairAgreement:
+class PairAgreement(NamedTuple):
     measure_a: str
     measure_b: str
     top_overlap: float
     spearman: float
 
 
-@dataclass(frozen=True, slots=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     top_k: int
     row_count: int
     pairs: tuple[PairAgreement, ...]

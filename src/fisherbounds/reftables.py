@@ -19,8 +19,7 @@ reports ANNOTATED instead of FAIL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .bounds import report
 from .contingency import build_table
@@ -42,8 +41,7 @@ STATUS_ANNOTATED = "ANNOTATED"
 STATUS_FAIL = "FAIL"
 
 
-@dataclass(frozen=True, slots=True)
-class RefRow:
+class RefRow(NamedTuple):
     """One reference configuration and its recorded values per column."""
 
     case: int
@@ -87,8 +85,7 @@ ROWS: tuple[RefRow, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Annotation:
+class Annotation(NamedTuple):
     """A known print artifact in one reference cell: the corrected
     reading and why.  A computed value that misses the recorded reading
     is accepted when it lies within plain_tolerance(column, corrected)
@@ -130,8 +127,7 @@ def plain_tolerance(column: str, recorded: float) -> float:
     return 5e-5 if recorded >= 0.01 else 5e-6
 
 
-@dataclass(frozen=True, slots=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     row: RefRow
     column: str
     computed: float

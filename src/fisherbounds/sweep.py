@@ -9,11 +9,10 @@ independence, every bound closes onto the exact value from above.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .batch import format_float, format_pvalue
+from .batch import format_pvalue
 from .bounds import ApproxReport, _require_extra_k, report
 from .contingency import _smallest_admissible, build_table
 from .errors import InvalidK, NegativeDependency
@@ -80,22 +79,17 @@ def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
     )
 
 
+# an output line, as batch writes its rows: no field holds a character
+# that csv.writer would quote
+_ROW = "%d,%d,%d,%.6g,%.6g,%.6g,%s,%s,%s,%s\n"
+
+
 def write_sweep_csv(out: IO[str], spec: SweepSpec, reports: Iterable[ApproxReport]) -> None:
     """Write the header, then each report as it arrives."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(sweep_header(spec))
+    out.write(",".join(sweep_header(spec)) + "\n")
     for r in reports:
-        writer.writerow(
-            [
-                str(r.table.mxa),
-                str(r.table.j),
-                str(r.terms),
-                format_float(r.lift),
-                format_float(r.leverage),
-                format_float(r.odds_ratio),
-                format_pvalue(r.p_fisher) if r.p_fisher is not None else "",
-                format_pvalue(r.ub1),
-                format_pvalue(r.ub2),
-                format_pvalue(r.ub_k),
-            ]
-        )
+        out.write(_ROW % (
+            r.table.mxa, r.table.j, r.terms, r.lift, r.leverage, r.odds_ratio,
+            "" if r.p_fisher is None else format_pvalue(r.p_fisher),
+            format_pvalue(r.ub1), format_pvalue(r.ub2), format_pvalue(r.ub_k),
+        ))

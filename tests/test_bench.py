@@ -7,10 +7,13 @@ noise.
 
 from __future__ import annotations
 
+import pytest
+
 from fisherbounds import (
     DEFAULT_REPETITIONS,
     DEFAULT_SIZES,
     BenchResult,
+    bench,
     bounds_flat_within,
     exact_grows,
     large_scale_terms,
@@ -21,7 +24,7 @@ from fisherbounds.bench import MEASURE_NAMES, benchmark_shape
 
 def _result(n, j, exact, bound):
     times = {"exact": exact, "ub1": bound, "ub2": bound, "ub3": bound}
-    return BenchResult(n, j, j + 1, times)
+    return BenchResult(n, j, times)
 
 
 class TestShapes:
@@ -63,6 +66,14 @@ class TestVerdicts:
 class TestRunBench:
     def test_zero_repetitions_short_circuits(self):
         assert run_bench((2000,), 0) == []
+
+    def test_a_size_without_a_benchmark_table_is_named_before_any_timing(self, monkeypatch):
+        # n=16 gives the benchmark shape no positive dependency
+        timed = []
+        monkeypatch.setattr(bench, "_calibrated", timed.append)
+        with pytest.raises(ValueError, match="^no benchmark table at n=16: "):
+            run_bench((2000, 16), 1)
+        assert timed == []
 
     def test_small_real_run_measures_every_name(self):
         results = run_bench((400, 2000), repetitions=2)

@@ -13,6 +13,7 @@ import typing
 import pytest
 
 import fisherbounds
+from fisherbounds import read_table_csv, run_batch, write_batch_csv
 
 # cli has its own entry-point names, and __main__ runs the command line
 NOT_EXPORTED = {"cli", "__main__"}
@@ -163,6 +164,44 @@ def test_eval_command_loads_no_record_machinery():
     loaded = _modules_after_command("eval", "1000", "200", "250", "60")
     assert "fisherbounds.bounds" in loaded
     assert sorted(RECORD_MACHINERY & loaded) == []
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("reftables", ("reproduce-tables",)),
+        ("ranking", ("rank-agreement", "o.csv")),
+        ("bench", ("bench", "--sizes", "2000", "--reps", "1")),
+    ],
+    ids=["reproduce-tables", "rank-agreement", "bench"],
+)
+def test_side_commands_load_no_record_machinery(tmp_path, monkeypatch, module, argv):
+    # rank-agreement reads a two-row batch output, written here in-process
+    (tmp_path / "t.csv").write_text(
+        "id,n,mx,ma,mxa\na,1000,200,250,60\nb,5000,2500,2500,1600\n", encoding="utf-8"
+    )
+    with open(tmp_path / "o.csv", "w", encoding="utf-8", newline="") as out:
+        write_batch_csv(out, run_batch(read_table_csv(str(tmp_path / "t.csv"))), None)
+    monkeypatch.chdir(tmp_path)
+    loaded = _modules_after_command(*argv)
+    assert f"fisherbounds.{module}" in loaded
+    assert sorted(RECORD_MACHINERY & loaded) == []
+
+
+def test_plain_records_are_named_tuples():
+    # the inputs that validate when built are classes; every other
+    # exported class is a named tuple or an exception
+    classes = set()
+    for module in _exporting_modules():
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not isinstance(obj, type) or issubclass(obj, Exception):
+                continue
+            if hasattr(obj, "_fields"):
+                assert issubclass(obj, tuple), name
+            else:
+                classes.add(obj.__name__)
+    assert sorted(classes) == ["ContingencyTable", "SweepSpec"]
 
 
 @pytest.mark.parametrize("rows, pooled", [(2, False), (2500, True)], ids=["one-chunk", "pooled"])
