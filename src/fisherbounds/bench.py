@@ -88,10 +88,13 @@ def run_bench(
     round-robin over all pairs, repetitions rounds of one sample each, so
     a slow phase of the machine lands on every pair alike instead of on
     one size, and each pair keeps its fastest sample.  A size without a
-    benchmark table is a ValueError naming it, raised before any timing.
+    benchmark table, or one given twice, is a ValueError naming it,
+    raised before any timing.
     """
     engines = []
     for n in sizes:
+        if any(e.table.n == n for e in engines):
+            raise ValueError(f"n={n} is given more than once")
         try:
             engines.append(make_term_engine(benchmark_shape(n)))
         except ValueError as exc:

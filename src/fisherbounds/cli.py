@@ -220,7 +220,7 @@ def _cmd_sweep(args) -> int:
         args.ma,
         args.mxa_lo,
         args.mxa_hi,
-        ks=(args.k,),
+        k=args.k,
         include_exact=not args.no_exact,
     )
     with _open_csv(args.out, sys.stdout) as out:

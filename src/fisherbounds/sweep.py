@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator
 from .batch import format_pvalue
 from .bounds import ApproxReport, _require_extra_k, report
 from .contingency import _smallest_admissible, build_table
-from .errors import InvalidK, NegativeDependency
+from .errors import NegativeDependency
 from .exact import make_term_engine
 
 __all__ = ["SweepSpec", "run_sweep", "sweep_header", "write_sweep_csv"]
@@ -25,9 +25,9 @@ __all__ = ["SweepSpec", "run_sweep", "sweep_header", "write_sweep_csv"]
 class SweepSpec:
     """A validated sweep request.
 
-    ks holds the one extra bound order to evaluate alongside ub1 and
-    ub2; it must be at least 3 because orders 1 and 2 already have
-    their own columns.  include_exact=False drops the exact column for
+    k is the one extra bound order to evaluate alongside ub1 and ub2;
+    it must be at least 3 because orders 1 and 2 already have their
+    own columns.  include_exact=False drops the exact column for
     speed.
     """
 
@@ -36,7 +36,7 @@ class SweepSpec:
     ma: int
     mxa_lo: int
     mxa_hi: int
-    ks: tuple[int, ...] = (3,)
+    k: int = 3
     include_exact: bool = True
 
     def __post_init__(self) -> None:
@@ -44,9 +44,7 @@ class SweepSpec:
             raise ValueError(
                 f"empty sweep: mxa_lo={self.mxa_lo} exceeds mxa_hi={self.mxa_hi}"
             )
-        if len(self.ks) != 1:
-            raise InvalidK(f"a sweep takes exactly one extra bound order, got {self.ks!r}")
-        _require_extra_k(self.ks[0])
+        _require_extra_k(self.k)
         lo = build_table(self.n, self.mx, self.ma, self.mxa_lo)
         build_table(self.n, self.mx, self.ma, self.mxa_hi)
         # every overlap above lo has the same n and a larger leverage, so
@@ -61,21 +59,20 @@ class SweepSpec:
 
 
 def _reports(spec: SweepSpec) -> Iterator[ApproxReport]:
-    """One report per overlap at the order in ks, made as it is consumed."""
-    (k,) = spec.ks
+    """One report per overlap at order spec.k, made as it is consumed."""
     for mxa in range(spec.mxa_lo, spec.mxa_hi + 1):
-        yield report(build_table(spec.n, spec.mx, spec.ma, mxa), k=k, include_exact=spec.include_exact)
+        yield report(build_table(spec.n, spec.mx, spec.ma, mxa), k=spec.k, include_exact=spec.include_exact)
 
 
 def run_sweep(spec: SweepSpec) -> list[ApproxReport]:
-    """One report per overlap at the order in ks, in overlap order."""
+    """One report per overlap at order spec.k, in overlap order."""
     return list(_reports(spec))
 
 
 def sweep_header(spec: SweepSpec) -> tuple[str, ...]:
     return (
         "mxa", "j", "terms", "lift", "leverage", "odds",
-        "p_fisher", "ub1", "ub2", f"ub{spec.ks[0]}",
+        "p_fisher", "ub1", "ub2", f"ub{spec.k}",
     )
 
 

@@ -236,7 +236,7 @@ def test_criterion_5_exactness_edges(exhaustive40):
 
 
 def test_criterion_6_figure_sweep():
-    points = run_sweep(SweepSpec(1000, 200, 250, 51, 120, ks=(3,)))
+    points = run_sweep(SweepSpec(1000, 200, 250, 51, 120, k=3))
     by_mxa = {p.table.mxa: p for p in points}
     facts = (
         by_mxa[55].terms == 146

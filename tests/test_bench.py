@@ -75,6 +75,14 @@ class TestRunBench:
             run_bench((2000, 16), 1)
         assert timed == []
 
+    def test_a_repeated_size_is_named_before_any_timing(self, monkeypatch):
+        # two samples of one size would make the growth verdict a coin toss
+        timed = []
+        monkeypatch.setattr(bench, "_calibrated", timed.append)
+        with pytest.raises(ValueError, match="^n=2000 is given more than once"):
+            run_bench((2000, 2000), 1)
+        assert timed == []
+
     def test_small_real_run_measures_every_name(self):
         results = run_bench((400, 2000), repetitions=2)
         assert [r.n for r in results] == [400, 2000]

@@ -642,6 +642,15 @@ class TestBench:
         assert captured.err.startswith(f"error: --sizes: no benchmark table at n={n}: {reason}")
         assert timed == []
 
+    def test_a_repeated_size_exits_two_before_any_timing(self, capsys, monkeypatch):
+        timed = []
+        monkeypatch.setattr(bench, "_calibrated", timed.append)
+        assert main(["bench", "--sizes", "2000,2000", "--reps", "1"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sizes: n=2000 is given more than once\n"
+        assert timed == []
+
 
 class TestTopLevel:
     def test_version(self, capsys):

@@ -67,7 +67,8 @@ def test_import_loads_no_thread_pool_or_logging():
     )
     src = os.path.dirname(os.path.dirname(fisherbounds.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        # -S: without the site module's machine-dependent imports, as in _modules_after
+        [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -88,11 +89,13 @@ HEAVY = {
 
 def _modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter holds once code has run, with the
-    words of any DeprecationWarning it printed."""
+    words of any DeprecationWarning it printed.  -S skips the site module,
+    whose start-up imports vary by machine, so only the package's own are
+    seen."""
     probe = f"{code}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)"
     src = os.path.dirname(os.path.dirname(fisherbounds.__file__))
     done = subprocess.run(
-        [sys.executable, "-W", "always::DeprecationWarning", "-c", probe],
+        [sys.executable, "-S", "-W", "always::DeprecationWarning", "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
