@@ -88,17 +88,23 @@ def run_bench(
     round-robin over all pairs, repetitions rounds of one sample each, so
     a slow phase of the machine lands on every pair alike instead of on
     one size, and each pair keeps its fastest sample.  A size without a
-    benchmark table, or one given twice, is a ValueError naming it,
-    raised before any timing.
+    benchmark table, one given twice, or one whose J an earlier size
+    already has (benchmark_shape floors n/2, so n = 2000 and 2001 both
+    give J = 400), is a ValueError naming it, raised before any timing:
+    two samples of one J would make the growth verdict a coin toss.
     """
     engines = []
     for n in sizes:
         if any(e.table.n == n for e in engines):
             raise ValueError(f"n={n} is given more than once")
         try:
-            engines.append(make_term_engine(benchmark_shape(n)))
+            engine = make_term_engine(benchmark_shape(n))
         except ValueError as exc:
             raise ValueError(f"no benchmark table at n={n}: {exc}") from None
+        twin = next((e.table.n for e in engines if e.j == engine.j), None)
+        if twin is not None:
+            raise ValueError(f"n={twin} and n={n} both give J={engine.j}")
+        engines.append(engine)
     if repetitions <= 0:
         return []
     calibrated = [[_calibrated(fn) for fn in _measures(e)] for e in engines]

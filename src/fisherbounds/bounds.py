@@ -89,7 +89,7 @@ def _log_tail_factor(engine: TermEngine, l: int) -> float:
     """ln(q^2 / (1 - q)) for q = q_{l+1}, from its exact integer factors
     read off the table; log_p0 plus this is the log error ceiling of a
     tail closed after term l.  It stays outside exact._walk, which steps
-    those factors, so tests can hold the walk's ceilings against it."""
+    their products, so tests can hold the walk's ceilings against it."""
     t = engine.table
     return _log_ceiling((t.mxna - l) * (t.mnxa - l), (t.mxa + l + 1) * (t.mnxna + l + 1))
 

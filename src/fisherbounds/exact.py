@@ -17,10 +17,12 @@ the cancellation that derives the ratio in the first place.
 
 exact_fisher sums all J + 1 terms from TermEngine.ratios() and is the
 reference; ratios() writes q_i apart from _walk on purpose.  _walk sums
-the same terms in the same order in one pass, stepping the four integer
-factors of q_i, and one closing in it ends the sum with a geometric tail
-for ub2 and for ub_k.  Its certified p_F stops once the rest provably
-cannot change the double total, so it returns exact_fisher's bits.
+the same terms in the same order in one pass, stepping two running
+products, the numerator and the denominator of q_i, by their first
+differences (in doubles while every value stays below 2^53).  A closing
+ends the sum with a geometric tail: ub2's before the loop, ub_k's in it.
+Its certified p_F stops once the rest provably cannot change the double
+total, so it returns exact_fisher's bits.
 """
 
 from __future__ import annotations
@@ -148,6 +150,18 @@ def _log_ceiling(a: int, b: int) -> float:
     return 2.0 * math.log(a) - math.log(b) - math.log(b - a) if a else -math.inf
 
 
+def _closing(a, b, left: int) -> tuple[float, float]:
+    """A closing's geometric factor 1 + q + ... + q^left and log error
+    ceiling ln(q^2 / (1 - q)) for q = a / b, from exact integers 0 <= a < b
+    (ints, or doubles below 2^53)."""
+    if a >= b:
+        # q < 1 is proven under positive dependency; guards the division by b - a
+        raise RuntimeError(f"ratio {a} / {b} is not below 1")
+    d = (b - a) / b
+    geometric = 1.0 if d == 1.0 else -math.expm1((left + 1) * math.log1p(-d)) / d
+    return geometric, _log_ceiling(a, b)
+
+
 # Rounding below the normal range adds at most 2^-1075 per product;
 # J 2^-1021 covers all of it in the stop test.
 _SUBNORMAL_SLACK = 2.0**-1021
@@ -157,16 +171,18 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     """One compensated pass over 1, q_1, q_1 q_2, ... for ub2, ub_k and p_F.
 
     Returns (ub2, ln of its error ceiling, ub_k, ln of its error
-    ceiling, p_F or None).  The state (x, y, u, v, total, comp, prod,
-    remaining) starts from (total, comp, prod) = (0, 0, 1).  At term l,
-    prod = q_1 ... q_l, remaining = J - l terms follow, and q_{l+1} is
-    the float division a / b of a = x y and b = u v, exact products of x
-    = mxna - l, y = mnxa - l, u = mxa + l + 1 and v = mnxna + l + 1, the
-    values ratios() divides.  Each term closes a tail if one is due, adds
-    prod in a Kahan step, runs the stop test below with q = a / b only
-    where the float prod q is below thresh = ulp(2 (J + 1)), the one
-    place a pass is possible (step 7), and steps prod and the four
-    factors.
+    ceiling, p_F or None).  The state (l, a, b, da, db, total, comp,
+    prod) starts at term l = 0 from (total, comp, prod) = (0, 0, 1).  At
+    term l, prod = q_1 ... q_l, and q_{l+1} is the float division a / b
+    of the running products a = x y and b = u v of x = mxna - l, y =
+    mnxa - l, u = mxa + l + 1 and v = mnxna + l + 1, the values ratios()
+    divides; da and db are their first differences (step 9).  All four
+    are exact integers, held as doubles when the exact sum runs and they
+    stay below 2^53 (step 10).  ub2 closes before the loop (step 11).
+    Each term closes ub_k's tail if it is due, adds prod in a Kahan step,
+    runs the stop test below with q = a / b only where the float prod q,
+    the next prod (step 12), is below thresh = ulp(2 (J + 1)), the one
+    place a pass is possible (step 7), and steps prod, a, b, da and db.
 
     A closing at term l adds prod (1 + q + ... + q^(J-l)) in q = q_{l+1}
     to the sum so far, takes p_0 q^2 / (1 - q) as its error ceiling and
@@ -229,7 +245,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        a sum of at most J + 1 products, each at most 1, so total < 2 (J +
        1) and ulp(total) <= thresh.  Without the exact sum, or once it has
        stopped, thresh = -1.0 and no term runs the test.
-    8. Where the test runs, g <= L = remaining, so capping g at L, as
+    8. Where the test runs, g <= L = J - l, so capping g at L, as
        S <= L prod allows, would move no stop.  If q < 1/2, g <= 1 <= L,
        or L = 0 and g = q = 0.  Else 1 - q is exact and g > L needs
        q > L / (L + 1) >= 1/2, so not at term 0: there prod q = q > 1/4 >=
@@ -237,49 +253,78 @@ def _walk(engine: TermEngine, k: int, exact: bool):
        b <= (A + D + l + 1)^2 <= n^2 and (L + 1) s < J (s + l) = mxna mnxa
        < A D = b - (l + 1)(A + D + l + 1), so a / b lies over (l + 1) / (2 n)
        >= 2^-50 below L / (L + 1), and q, within 2^-54 of a / b, below it.
+
+    Why each term's cheaper arithmetic moves no bit:
+
+    9. (x - 1)(y - 1) = x y - (x + y - 1) and (u + 1)(v + 1) = u v + (u +
+       v + 1).  So a <- a - da and b <- b + db, with da = mxna + mnxa -
+       2l - 1 falling and db = mxa + mnxna + 2l + 3 rising by 2 per term,
+       keep a and b equal to the integers x y and u v at every term, and
+       q = a / b divides the same integers as ratios().
+    10. If the exact sum runs and (mxa + 1 + J)(mnxna + 1 + J) < 2^53, a,
+        b, da and db become doubles once, before the loop.  Every value
+        the loop reads is then an integer of magnitude below 2^53: b is
+        at most its value at term J, 0 <= a <= mxna mnxa < b under
+        positive dependency, and |da|, |db| <= 2n + 3 < 2^52.  Each step
+        yields such a value, so it is exact; the update after term J may
+        round but is never read.  The double a / b is the correctly
+        rounded quotient, which is what int true division returns, and
+        a closing's b - a and logs see the same values, so the doubles
+        give the ints' bits.  On ints the steps stay ints: a step by the
+        float 2.0 would turn da and db into doubles that round past
+        2^53.  A bounds-only walk takes at most k - 1 steps and keeps
+        ints.
+    11. At term 0, (total, comp, prod) = (0, 0, 1), so a closing's total
+        + (prod g - comp) is g bit for bit, and ub2 = p_0 g closes before
+        the loop.  If min(k, J + 1) = 1, ub_k's closing falls at term 0
+        as well and is ub2's, so no closing is left for the loop.
+    12. The filter's prod q and the step's are one rounding of the same
+        operands, so the filter's value is the next prod.
     """
     table, j, log_p0 = engine.table, engine.j, engine.log_p0
-    log, log1p, expm1, ulp = math.log, math.log1p, math.expm1, math.ulp
+    log, ulp = math.log, math.ulp
     x, y, u, v = table.mxna, table.mnxa, table.mxa + 1, table.mnxna + 1
+    a, b, da, db, two = x * y, u * v, x + y - 1, u + v + 1, 2
+    if exact and (u + j) * (v + j) < 2**53:
+        a, b, da, db, two = float(a), float(b), float(da), float(db), 2.0
+    geometric, ceiling = _closing(a, b, j)
+    ub2 = ubk = PValue(log_p0 + log(geometric), 1)
+    ub2_log_ceiling = ubk_log_ceiling = log_p0 + ceiling
+    close = min(k, j + 1) - 1  # ub_k's closing term; -1 once none is left
+    if close == 0:
+        if not exact:
+            return ub2, ub2_log_ceiling, ubk, ubk_log_ceiling, None
+        close = -1
     slack = j * _SUBNORMAL_SLACK
     total, comp, prod = 0.0, 0.0, 1.0
     p_fisher = None
     # the stop test can pass only where prod q < thresh (step 7); -1.0 when it is off
     thresh = ulp(2.0 * (j + 1)) if exact else -1.0
-    ubk_left = j + 1 - k if k <= j else 0  # remaining at ub_k's closing
-    due = j  # remaining at the next closing, ub2's first; -1 once none is left
-    for remaining in range(j, -1, -1):
-        if remaining == due:
-            a, b = x * y, u * v
-            if a >= b:
-                # q < 1 is proven under positive dependency; guards the division by b - a
-                raise RuntimeError(f"ratio q_{j + 1 - remaining} >= 1 on {table}")
-            d = (b - a) / b
-            geometric = 1.0 if d == 1.0 else -expm1((remaining + 1) * log1p(-d)) / d
-            ubk = PValue(log_p0 + log(total + (prod * geometric - comp)), j + 1 - remaining)
-            ubk_log_ceiling = log_p0 + _log_ceiling(a, b)
-            if remaining == j:
-                ub2, ub2_log_ceiling = ubk, ubk_log_ceiling
-            due = ubk_left if remaining > ubk_left else -1
-            if due < 0 and thresh < 0.0:
+    for l in range(j + 1):
+        if l == close:
+            geometric, ceiling = _closing(a, b, j - l)
+            ubk = PValue(log_p0 + log(total + (prod * geometric - comp)), l + 1)
+            ubk_log_ceiling = log_p0 + ceiling
+            if thresh < 0.0:
                 break
         w = prod - comp
         s = total + w
         comp = (s - total) - w
         total = s
-        q = (x * y) / (u * v)
-        if prod * q < thresh:
+        q = a / b
+        next_prod = prod * q
+        if next_prod < thresh:
             g = q / (1.0 - q)
             if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
-                p_fisher = PValue(log_p0 + log(total), j + 1 - remaining)
-                if remaining <= ubk_left:
+                p_fisher = PValue(log_p0 + log(total), l + 1)
+                if l >= close:
                     break
                 thresh = -1.0
-        prod *= q
-        x -= 1
-        y -= 1
-        u += 1
-        v += 1
+        prod = next_prod
+        a -= da
+        b += db
+        da -= two
+        db += two
     else:  # only the exact sum, its stop test failing at term J, gets here
         p_fisher = PValue(log_p0 + log(total), j + 1)
     return ub2, ub2_log_ceiling, ubk, ubk_log_ceiling, p_fisher

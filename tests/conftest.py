@@ -61,6 +61,29 @@ def random_positive_tables(
     return tables
 
 
+def double_switch_small_j() -> list[ContingencyTable]:
+    """J = 3 and a q_1 near 0.2, with the walk's largest product (mxa + 1 +
+    J)(mnxna + 1 + J) at 2^26 (2^27 - 1), just below 2^53, where the exact
+    walk steps doubles, and at 2^53, where it keeps ints."""
+    return [
+        build_table(2**26 + 2**49 + mnxna - 1, 2**26 - 1, 2**26 + 2**49 - 4, 2**26 - 4)
+        for mnxna in (2**27 - 5, 2**27 - 4)
+    ]
+
+
+def double_switch_near_independence() -> list[ContingencyTable]:
+    """mx = ma = 2^26 - 1 one above independence (J about 5e7), with the
+    walk's largest product (mx + 1)(n - mx + 1) just below 2^53 and at 2^53."""
+    m = 2**26 - 1
+    return [build_table(n, m, m, m * m // n + 1) for n in (m + 2**27 - 2, m + 2**27 - 1)]
+
+
+def integer_path_near_independence() -> list[ContingencyTable]:
+    """(4e8, 2e8, 2e8, 1e8 + 1): products near 1e16, past 2^53, from the first
+    term, so the exact walk steps ints; its certified sum takes 41963 terms."""
+    return [build_table(4 * 10**8, 2 * 10**8, 2 * 10**8, 10**8 + 1)]
+
+
 def read_back(results, path) -> list:
     """Ranking rows of evaluated results, read back from their batch output."""
     out = io.StringIO()

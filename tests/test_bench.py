@@ -83,6 +83,15 @@ class TestRunBench:
             run_bench((2000, 2000), 1)
         assert timed == []
 
+    def test_two_sizes_with_one_j_are_named_before_any_timing(self, monkeypatch):
+        # n/2 is floored, so n = 2000 and 2001 are one benchmark table apart
+        # from n: equal work, and the growth verdict would toss a coin
+        timed = []
+        monkeypatch.setattr(bench, "_calibrated", timed.append)
+        with pytest.raises(ValueError, match="^n=2000 and n=2001 both give J=400$"):
+            run_bench((2000, 20000, 2001), 1)
+        assert timed == []
+
     def test_small_real_run_measures_every_name(self):
         results = run_bench((400, 2000), repetitions=2)
         assert [r.n for r in results] == [400, 2000]

@@ -32,7 +32,15 @@ from fisherbounds import (
 )
 from fisherbounds.bounds import _log_tail_factor
 
-from conftest import CORPUS_SEED, EXHAUSTIVE_POSITIVE, iter_exhaustive, random_positive_tables
+from conftest import (
+    CORPUS_SEED,
+    EXHAUSTIVE_POSITIVE,
+    double_switch_near_independence,
+    double_switch_small_j,
+    integer_path_near_independence,
+    iter_exhaustive,
+    random_positive_tables,
+)
 
 
 def _p0(t) -> Fraction:
@@ -415,18 +423,23 @@ class TestOnePass:
     each value keeps the bits of its own separate walk: ub2 and ub_k of
     _two_pass_ub_k, p_F of the full O(J) sum and both error ceilings of
     _log_tail_factor, -inf once no tail is left (J = 0 for ub2, k > J for
-    ub_k)."""
+    ub_k).  Where J runs into the tens of millions (full_sum False), k
+    stops at 7 and test_exact holds p_F against its every-term stop test
+    instead of the full sum."""
 
     @staticmethod
-    def _check(tables) -> None:
+    def _check(tables, full_sum: bool = True) -> None:
         for t in tables:
             engine = make_term_engine(t)
             j, log_p0 = t.j, engine.log_p0
             ub2_bits = _two_pass_ub_k(engine, 1)
             err_ub2 = log_p0 + _log_tail_factor(engine, 0) if j else -math.inf
             p_fisher = exact_fisher_certified(engine)
-            assert p_fisher.raw_log == exact_fisher(engine).raw_log, t
-            for k in {1, 2, 3, 5, j + 1, j + 2}:
+            ks = {1, 2, 3, 7}
+            if full_sum:
+                assert p_fisher.raw_log == exact_fisher(engine).raw_log, t
+                ks = {1, 2, 3, 5, j + 1, j + 2}
+            for k in ks:
                 ubk_bits = _two_pass_ub_k(engine, k)
                 err_ubk = log_p0 + _log_tail_factor(engine, k - 1) if k <= j else -math.inf
                 for include_exact in (True, False):
@@ -445,3 +458,15 @@ class TestOnePass:
 
     def test_random_corpus(self):
         self._check(random_positive_tables(2000, 20000, seed=CORPUS_SEED))
+
+    @pytest.mark.parametrize(
+        "tables,full_sum",
+        [
+            pytest.param(double_switch_small_j, True, id="double_switch_j_3"),
+            pytest.param(double_switch_near_independence, False, id="double_switch_near_independence"),
+            pytest.param(integer_path_near_independence, False, id="integer_path_4e8"),
+        ],
+    )
+    def test_tables_at_the_double_switch_and_on_the_integer_path(self, tables, full_sum):
+        # with the exact sum the walk closes ub_k on doubles below 2^53, and on ints above
+        self._check(tables(), full_sum)

@@ -651,6 +651,15 @@ class TestBench:
         assert captured.err == "error: --sizes: n=2000 is given more than once\n"
         assert timed == []
 
+    def test_two_sizes_with_one_j_exit_two_before_any_timing(self, capsys, monkeypatch):
+        timed = []
+        monkeypatch.setattr(bench, "_calibrated", timed.append)
+        assert main(["bench", "--sizes", "2000,2001", "--reps", "1"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sizes: n=2000 and n=2001 both give J=400\n"
+        assert timed == []
+
 
 class TestTopLevel:
     def test_version(self, capsys):

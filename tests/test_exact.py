@@ -22,7 +22,14 @@ from fisherbounds import (
 from fisherbounds.bench import benchmark_shape
 from fisherbounds.exact import ORACLE_CAP
 
-from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
+from conftest import (
+    CORPUS_SEED,
+    double_switch_near_independence,
+    double_switch_small_j,
+    integer_path_near_independence,
+    iter_exhaustive,
+    random_positive_tables,
+)
 
 
 def _oracle_from_scratch(t) -> Fraction:
@@ -196,8 +203,8 @@ def _stop_test_at_every_term(engine) -> PValue:
 
     The walk runs the test only where prod q is small enough for it to
     pass; this copy runs it everywhere, on ratios() in place of the
-    walk's stepped factors, so it shows that skipping it elsewhere never
-    moves the stop.
+    walk's running products, so it shows that skipping it elsewhere
+    never moves the stop.
     """
     j = engine.j
     slack = j * 2.0**-1021
@@ -307,6 +314,10 @@ class TestExactFisherCertified:
             pytest.param(lambda: _strong_near_the_cap(30, CORPUS_SEED), id="strong_near_2_to_the_50"),
             pytest.param(_j_at_most_two, id="j_at_most_2"),
             pytest.param(_underflow_table, id="underflow"),
+            # the exact walk steps doubles below 2^53 and ints from there on
+            pytest.param(double_switch_small_j, id="double_switch_j_3"),
+            pytest.param(double_switch_near_independence, id="double_switch_near_independence"),
+            pytest.param(integer_path_near_independence, id="integer_path_4e8"),
         ],
     )
     def test_stops_where_the_stop_test_at_every_term_stops(self, tables):
