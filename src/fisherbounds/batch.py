@@ -30,7 +30,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import ApproxReport, _require_k, report
 from .chi2 import _DOUBLE_MIN
-from .contingency import ContingencyTable, negate_consequent
+from .contingency import ContingencyTable, _new, negate_consequent
 from .errors import DegenerateMargin, MarginViolation, NegativeDependency, OutOfRange
 
 __all__ = [
@@ -162,7 +162,7 @@ def _evaluate(
         t = ContingencyTable(n, mx, ma, mxa)
         if negate:
             t = negate_consequent(t)
-        return BatchRecord(row_id, report(t, k=k, include_exact=include_exact))
+        return _new(BatchRecord, (row_id, report(t, k=k, include_exact=include_exact)))
     except DegenerateMargin as exc:
         return Reject(row_id, REASON_DEGENERATE, str(exc))
     except MarginViolation as exc:

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .chi2 import Chi2Result, chi2_one_sided
-from .contingency import ContingencyTable, DerivedStats, _measures
+from .contingency import ContingencyTable, DerivedStats, _measures, _new
 from .errors import InvalidK
 from .exact import PValue, TermEngine, _log_ceiling, _walk, make_term_engine
 
@@ -62,7 +62,7 @@ def ub1(engine: TermEngine) -> PValue:
     """
     t = engine.table
     multiplier = (t.mxa * t.mnxna) / t.delta_counts
-    return PValue(engine.log_p0 + math.log(multiplier), 1)
+    return _new(PValue, (engine.log_p0 + math.log(multiplier), 1))
 
 
 def ub_k(engine: TermEngine, k: int) -> PValue:
@@ -182,7 +182,7 @@ def report(t: ContingencyTable, k: int = 3, include_exact: bool = True) -> Appro
     engine = make_term_engine(t)
     _require_k(k)
     ub2_pv, log_err_ub2, ubk_pv, log_err_ubk, p_fisher = _walk(engine, k, include_exact)
-    return ApproxReport(
+    return _new(ApproxReport, (
         t, *_measures(t), ub1(engine), ub2_pv, ubk_pv, k, log_err_ubk, log_err_ub2,
         *_lift_flags(t), chi2_one_sided(t), p_fisher,
-    )
+    ))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .contingency import ContingencyTable
+from .contingency import ContingencyTable, _new
 
 __all__ = ["Chi2Result", "chi2_one_sided", "normal_upper_tail"]
 
@@ -84,6 +84,6 @@ def chi2_one_sided(t: ContingencyTable) -> Chi2Result:
         z = -z
     smallest_product = min(mx * ma, mx * mna, mnx * ma, mnx * mna)
     p = normal_upper_tail(z)
-    return Chi2Result(
+    return _new(Chi2Result, (
         statistic, p, _log_upper_tail(z, p), smallest_product / n, smallest_product >= 5 * n
-    )
+    ))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .contingency import ContingencyTable
+from .contingency import ContingencyTable, _new
 from .errors import CapacityExceeded, NegativeDependency, OutOfRange
 
 __all__ = [
@@ -85,7 +85,8 @@ class TermEngine(NamedTuple):
 
     def ratios(self):
         """Yield q_1 .. q_J for the reference exact_fisher; written apart
-        from _walk's stepped factors, so the walk is tested against it."""
+        from _walk's two stepped running products, so the walk is tested
+        against it."""
         t = self.table
         mxa, mxna, mnxa, mnxna = t.mxa, t.mxna, t.mnxa, t.mnxna
         for i in range(1, self.j + 1):
@@ -126,7 +127,7 @@ def make_term_engine(t: ContingencyTable) -> TermEngine:
         + (lg(n - mx + 1) - (lg(mnxna + 1) + lg(mnxa + 1)))
         + log_pabs
     )
-    return TermEngine(t, log_p0, t.j)
+    return _new(TermEngine, (t, log_p0, t.j))
 
 
 def exact_fisher(engine: TermEngine) -> PValue:
@@ -288,7 +289,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     if exact and (u + j) * (v + j) < 2**53:
         a, b, da, db, two = float(a), float(b), float(da), float(db), 2.0
     geometric, ceiling = _closing(a, b, j)
-    ub2 = ubk = PValue(log_p0 + log(geometric), 1)
+    ub2 = ubk = _new(PValue, (log_p0 + log(geometric), 1))
     ub2_log_ceiling = ubk_log_ceiling = log_p0 + ceiling
     close = min(k, j + 1) - 1  # ub_k's closing term; -1 once none is left
     if close == 0:
@@ -303,7 +304,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
     for l in range(j + 1):
         if l == close:
             geometric, ceiling = _closing(a, b, j - l)
-            ubk = PValue(log_p0 + log(total + (prod * geometric - comp)), l + 1)
+            ubk = _new(PValue, (log_p0 + log(total + (prod * geometric - comp)), l + 1))
             ubk_log_ceiling = log_p0 + ceiling
             if thresh < 0.0:
                 break
@@ -316,7 +317,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         if next_prod < thresh:
             g = q / (1.0 - q)
             if prod == 0.0 or 2.5 * prod * g + slack - comp < 0.5 * ulp(total):
-                p_fisher = PValue(log_p0 + log(total), l + 1)
+                p_fisher = _new(PValue, (log_p0 + log(total), l + 1))
                 if l >= close:
                     break
                 thresh = -1.0
@@ -326,7 +327,7 @@ def _walk(engine: TermEngine, k: int, exact: bool):
         da -= two
         db += two
     else:  # only the exact sum, its stop test failing at term J, gets here
-        p_fisher = PValue(log_p0 + log(total), j + 1)
+        p_fisher = _new(PValue, (log_p0 + log(total), j + 1))
     return ub2, ub2_log_ceiling, ubk, ubk_log_ceiling, p_fisher
 
 
