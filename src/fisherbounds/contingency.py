@@ -113,9 +113,9 @@ _SETTERS = tuple(getattr(ContingencyTable, name).__set__ for name in Contingency
 # the constructor validates, so the builder is the class itself
 build_table = ContingencyTable
 # tuple's own constructor, as _new(Cls, (field, ...)): it builds the same
-# named tuple as Cls(field, ...) without namedtuple's Python-level __new__,
-# about 300 ns a record.  Used for the records built once per evaluated
-# table; every other record is built by the class call.
+# named tuple as Cls(field, ...) but skips namedtuple's Python-level __new__,
+# about half the cost of a record.  Used for the records built once per
+# evaluated table; every other record is built by the class call.
 _new = tuple.__new__
 
 

@@ -1,5 +1,6 @@
-"""The per-row records: immutable, without a per-instance __dict__, and
-returned equal by pickle and copy."""
+"""The per-row records: immutable, without a per-instance __dict__,
+returned equal by pickle and copy, and well formed where the hot path
+builds them with tuple's own constructor."""
 
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ import pytest
 from fisherbounds import (
     ApproxReport,
     BatchRecord,
+    Chi2Result,
     ContingencyTable,
     PValue,
     Reject,
+    TermEngine,
     build_table,
     derive_stats,
     guarantees,
@@ -21,6 +24,8 @@ from fisherbounds import (
     report,
     run_batch,
 )
+
+from conftest import CORPUS_SEED, iter_exhaustive, random_positive_tables
 
 TABLE = build_table(1000, 200, 250, 60)
 REPORT = report(TABLE, k=3)
@@ -91,3 +96,70 @@ def test_table_is_not_a_tuple_but_hashes_like_its_four_counts():
     moved = ContingencyTable(1000, 200, 250, 61)
     assert TABLE != moved and TABLE != (1000, 200, 250, 60)
     assert hash(TABLE) == hash((1000, 200, 250, 60))
+
+
+# report, make_term_engine and run_batch build their records with tuple's
+# own constructor, which checks neither the count nor the class of what it
+# is given; so every record they return is checked against the class call
+HOT_PATH_TABLES = (
+    list(iter_exhaustive(max_n=12, positive_only=True))
+    + random_positive_tables(500, 20000, seed=CORPUS_SEED)
+    + [build_table(n, n // 2, n // 2, n // 4 + 1) for n in (10**4, 10**5, 10**6)]
+)
+HOT_PATH_KS = (1, 2, 3, 7)
+
+
+def _check_record(record, cls) -> None:
+    assert type(record) is cls
+    assert len(record) == len(cls._fields)
+    assert record == cls(*record)
+
+
+def _check_report(rep: ApproxReport, include_exact: bool) -> None:
+    _check_record(rep, ApproxReport)
+    pvalues = [rep.ub1, rep.ub2, rep.ub_k]
+    if include_exact:
+        pvalues.append(rep.p_fisher)
+    else:
+        assert rep.p_fisher is None
+    for pv in pvalues:
+        _check_record(pv, PValue)
+        assert type(pv.raw_log) is float and type(pv.terms_evaluated) is int
+    _check_record(rep.chi2, Chi2Result)
+
+
+def test_hot_path_corpus_spans_short_and_full_exact_sums():
+    # J = 0 tables, and tables whose certified sum stops early or adds every term
+    assert len(HOT_PATH_TABLES) > 1000
+    assert min(t.j for t in HOT_PATH_TABLES) == 0 and max(t.j for t in HOT_PATH_TABLES) > 10**5
+    reports = [report(t, k=1) for t in HOT_PATH_TABLES]
+    assert any(r.p_fisher.terms_evaluated < r.terms for r in reports)
+    assert any(r.p_fisher.terms_evaluated == r.terms > 1 for r in reports)
+
+
+def test_term_engines_are_well_formed():
+    for t in HOT_PATH_TABLES:
+        engine = make_term_engine(t)
+        _check_record(engine, TermEngine)
+        assert engine.table is t
+
+
+@pytest.mark.parametrize("include_exact", [True, False])
+@pytest.mark.parametrize("k", HOT_PATH_KS)
+def test_reports_are_well_formed(k, include_exact):
+    for t in HOT_PATH_TABLES:
+        rep = report(t, k=k, include_exact=include_exact)
+        _check_report(rep, include_exact)
+        assert rep.table is t and rep.k_used == k
+
+
+@pytest.mark.parametrize("include_exact", [True, False])
+@pytest.mark.parametrize("k", HOT_PATH_KS)
+def test_batch_records_are_well_formed(k, include_exact):
+    rows = [(f"r{i}", [str(t.n), str(t.mx), str(t.ma), str(t.mxa)]) for i, t in enumerate(HOT_PATH_TABLES)]
+    results = list(run_batch(rows, k=k, include_exact=include_exact))
+    assert len(results) == len(rows)
+    for (row_id, _), rec in zip(rows, results):
+        _check_record(rec, BatchRecord)
+        assert rec.row_id == row_id
+        _check_report(rec.report, include_exact)
